@@ -13,14 +13,15 @@
 // client readers (the §4.3 Rc–Wa conflict) and under kTwoPhase they
 // block behind them.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "dbps.h"
-#include "match/partitioned_matcher.h"
 #include "report.h"
 
 namespace {
@@ -146,11 +147,100 @@ Outcome Run(size_t workers, LockProtocol protocol) {
 }
 
 // ---------------------------------------------------------------------
-// Matcher-phase sweep: the partitioned match phase in isolation, serial
-// reference vs relation-hash partitions with 1 (ablation) .. N morsel
-// workers, over a multi-relation workload with cross-partition joins.
-// Per-batch propagation latency feeds the percentile columns.
+// Match-phase sweeps: the serial Rete in isolation, fed a deterministic
+// stream of committed batches. Each sweep runs once untimed (so the first
+// timed run does not pay process warm-up), then kMatchReps timed runs;
+// the row reports the median wall time with min/max, and per-batch
+// propagation latency across all timed runs.
 
+constexpr int kMatchReps = 5;
+
+struct MatchOutcome {
+  double ms = 0;                   // whole sweep, wall
+  uint64_t batches = 0;
+  uint64_t wmes_added = 0;         // WME versions the sweep added
+  uint64_t join_candidates = 0;    // join-test pairs the sweep examined
+  bench::LatencyRecorder latency;  // per-batch propagation, ms
+  bool valid = false;  // final set matches a freshly built matcher's
+};
+
+/// Loads `program`, applies `preload` (untimed), then feeds `batches`
+/// batches from `next_batch` through a serial Rete, one ApplyChanges per
+/// batch. Every run consumes the identical change stream (fixed seed).
+MatchOutcome RunMatchSweep(const char* program,
+                           const std::function<void(Delta*)>& preload,
+                           int batches,
+                           const std::function<void(Random*, Delta*)>&
+                               next_batch) {
+  WorkingMemory wm;
+  auto rules = LoadProgram(program, &wm).ValueOrDie();
+  Delta initial;
+  preload(&initial);
+  if (!initial.empty()) DBPS_CHECK(wm.Apply(initial).ok());
+
+  ReteMatcher matcher;
+  DBPS_CHECK(matcher.Initialize(rules, wm).ok());
+  const size_t candidates_before = matcher.GetStats().join_candidates;
+
+  MatchOutcome out;
+  Random rng(20260808);
+  Stopwatch sweep;
+  for (int b = 0; b < batches; ++b) {
+    Delta delta;
+    next_batch(&rng, &delta);
+    auto change_or = wm.Apply(delta);
+    DBPS_CHECK(change_or.ok()) << change_or.status();
+    out.wmes_added += change_or.ValueOrDie().added.size();
+    const std::vector<WmChange> changes{std::move(change_or).ValueOrDie()};
+    Stopwatch batch_clock;
+    matcher.ApplyChanges(changes);
+    out.latency.Add(batch_clock.ElapsedSeconds() * 1e3);
+  }
+  out.ms = sweep.ElapsedSeconds() * 1e3;
+  out.batches = batches;
+  out.join_candidates =
+      matcher.GetStats().join_candidates - candidates_before;
+  // Ground truth: a fresh matcher over the final WM state must agree
+  // with the incrementally maintained set.
+  ReteMatcher reference;
+  DBPS_CHECK(reference.Initialize(rules, wm).ok());
+  out.valid = reference.conflict_set().CanonicalDump() ==
+              matcher.conflict_set().CanonicalDump();
+  return out;
+}
+
+/// One warm-up run, then kMatchReps timed runs reported as one row: the
+/// median wall time, its min/max, and every run's batch latencies.
+/// Returns the last run; its work counts are the same in every run.
+MatchOutcome SweepMatch(bench::JsonReport* report, const char* workload,
+                        const std::function<MatchOutcome()>& run) {
+  DBPS_CHECK(run().valid) << workload << " diverged (warm-up)";
+  std::vector<double> walls;
+  bench::LatencyRecorder latency;
+  MatchOutcome out;
+  for (int rep = 0; rep < kMatchReps; ++rep) {
+    out = run();
+    DBPS_CHECK(out.valid) << workload << " diverged in run " << rep;
+    walls.push_back(out.ms);
+    latency.Merge(out.latency);
+  }
+  bench::JsonRow row;
+  row.workload = workload;
+  row.threads = 1;
+  row.protocol = "serial";
+  row.SetWallSamples(walls);
+  row.committed = out.batches;
+  row.join_candidates = out.join_candidates;
+  row.SetLatencies(latency);
+  report->Add(row);
+  std::printf("  %-12s %9.2f %9.2f %9.2f %10.2f %8.1f %8.1f\n", workload,
+              row.wall_ms, row.wall_ms_min, row.wall_ms_max,
+              static_cast<double>(out.join_candidates) / out.wmes_added,
+              latency.Percentile(50) * 1e3, latency.Percentile(99) * 1e3);
+  return out;
+}
+
+// match_phase: four relations, joins on ^id across relations.
 constexpr const char* kMatchProgram = R"(
 (relation order (id int) (qty int))
 (relation stock (id int) (qty int))
@@ -182,156 +272,36 @@ constexpr const char* kMatchProgram = R"(
 
 constexpr int kMatchBatches = 400;
 
-struct MatchOutcome {
-  double ms = 0;                   // whole sweep, wall
-  uint64_t batches = 0;
-  uint64_t morsels = 0;
-  uint64_t handoffs = 0;
-  uint64_t splits = 0;
-  bench::LatencyRecorder latency;  // per-batch propagation, ms
-  std::string dump;                // final canonical conflict-set dump
-  bool valid = false;              // final set matches the reference dump
-};
-
-/// One deterministic batch against `wm` (same generator for every
-/// configuration, so all sweeps consume the identical change stream).
-std::vector<WmChange> MatchBatch(WorkingMemory* wm, Random* rng) {
-  Delta delta;
+void MatchPhaseBatch(Random* rng, Delta* delta) {
   const size_t ops = 2 + rng->Uniform(5);
   for (size_t op = 0; op < ops; ++op) {
+    const auto id = static_cast<int64_t>(rng->Uniform(32));
     switch (rng->Uniform(4)) {
       case 0:
-        delta.Create(Sym("order"),
-                     {Value::Int(static_cast<int64_t>(rng->Uniform(32))),
-                      Value::Int(static_cast<int64_t>(rng->Uniform(5)))});
+        delta->Create(Sym("order"),
+                      {Value::Int(id), Value::Int(static_cast<int64_t>(
+                                           rng->Uniform(5)))});
         break;
       case 1:
-        delta.Create(Sym("stock"),
-                     {Value::Int(static_cast<int64_t>(rng->Uniform(32))),
-                      Value::Int(static_cast<int64_t>(rng->Uniform(4)))});
+        delta->Create(Sym("stock"),
+                      {Value::Int(id), Value::Int(static_cast<int64_t>(
+                                           rng->Uniform(4)))});
         break;
       case 2:
-        delta.Create(Sym("ship"),
-                     {Value::Int(static_cast<int64_t>(rng->Uniform(32)))});
+        delta->Create(Sym("ship"), {Value::Int(id)});
         break;
       default:
-        delta.Create(Sym("alert"),
-                     {Value::Int(static_cast<int64_t>(rng->Uniform(32)))});
+        delta->Create(Sym("alert"), {Value::Int(id)});
         break;
     }
   }
-  auto change_or = wm->Apply(delta);
-  DBPS_CHECK(change_or.ok()) << change_or.status();
-  return {std::move(change_or).ValueOrDie()};
 }
 
-/// partitions == 0 selects the serial Rete reference. `expected` is the
-/// reference config's final conflict-set dump; pass nullptr for the
-/// reference run itself, which validates against a freshly built serial
-/// matcher over the final WM state — every config consumes the identical
-/// change stream, so one ground-truth rebuild covers the whole sweep
-/// (the per-config rebuild this used to do re-ran the serial baseline
-/// once per worker count for nothing).
-MatchOutcome RunMatchPhase(size_t partitions, size_t workers,
-                           const std::string* expected) {
-  WorkingMemory wm;
-  auto rules = LoadProgram(kMatchProgram, &wm).ValueOrDie();
-
-  std::unique_ptr<Matcher> matcher;
-  PartitionedMatcher* partitioned = nullptr;
-  if (partitions == 0) {
-    matcher = CreateMatcher(MatcherKind::kRete);
-  } else {
-    PartitionedMatcher::Options options;
-    options.num_partitions = partitions;
-    options.num_workers = workers;
-    auto owned = std::make_unique<PartitionedMatcher>(options);
-    partitioned = owned.get();
-    matcher = std::move(owned);
-  }
-  DBPS_CHECK(matcher->Initialize(rules, wm).ok());
-
-  MatchOutcome out;
-  Random rng(20260808);
-  Stopwatch sweep;
-  for (int b = 0; b < kMatchBatches; ++b) {
-    const std::vector<WmChange> changes = MatchBatch(&wm, &rng);
-    Stopwatch batch_clock;
-    matcher->ApplyChanges(changes);
-    out.latency.Add(batch_clock.ElapsedSeconds() * 1e3);
-  }
-  out.ms = sweep.ElapsedSeconds() * 1e3;
-  out.batches = kMatchBatches;
-  if (partitioned != nullptr) {
-    const PartitionedMatcher::Stats stats = partitioned->GetStats();
-    out.morsels = stats.morsels;
-    out.handoffs = stats.handoffs;
-    out.splits = stats.splits;
-  }
-  out.dump = matcher->conflict_set().CanonicalDump();
-  if (expected != nullptr) {
-    out.valid = out.dump == *expected;
-  } else {
-    // Ground truth, computed once per sweep: a fresh serial matcher over
-    // the final WM state must agree with the incremental set.
-    auto reference = CreateMatcher(MatcherKind::kRete);
-    DBPS_CHECK(reference->Initialize(rules, wm).ok());
-    out.valid = reference->conflict_set().CanonicalDump() == out.dump;
-  }
-  return out;
-}
-
-void SweepMatchPhase(bench::JsonReport* report, size_t max_workers) {
-  bench::Section(
-      "match phase — serial Rete vs relation-hash partitions (8), " +
-      std::to_string(kMatchBatches) + " batches, 4 relations");
-  std::printf("\n  %-12s %-7s %9s %8s %8s %8s %8s %6s\n", "matcher",
-              "workers", "ms", "morsels", "handoffs", "p50us", "p99us",
-              "valid");
-
-  const MatchOutcome serial = RunMatchPhase(0, 1, nullptr);
-  double serial_ms = serial.ms;
-  auto emit = [&](const char* name, const char* proto, size_t workers,
-                  const MatchOutcome& out) {
-    std::printf("  %-12s %-7zu %9.2f %8llu %8llu %8.1f %8.1f %6s\n", name,
-                workers, out.ms, (unsigned long long)out.morsels,
-                (unsigned long long)out.handoffs,
-                out.latency.Percentile(50) * 1e3,
-                out.latency.Percentile(99) * 1e3, out.valid ? "OK" : "FAIL");
-    DBPS_CHECK(out.valid) << "match phase diverged for " << name
-                          << " workers=" << workers;
-    bench::JsonRow row;
-    row.workload = "match_phase";
-    row.threads = workers;
-    row.protocol = proto;
-    row.wall_ms = out.ms;
-    row.committed = out.batches;
-    row.SetLatencies(out.latency);
-    report->Add(row);
-  };
-  emit("serial", "serial", 1, serial);
-  for (size_t workers : {1u, 2u, 4u, 8u}) {
-    if (workers > max_workers) continue;
-    const MatchOutcome out = RunMatchPhase(8, workers, &serial.dump);
-    emit(workers == 1 ? "part8-ablate" : "part8",
-         workers == 1 ? "ablation" : "partitioned", workers, out);
-    if (workers > 1) {
-      std::printf("               %zu workers: %.2fx vs serial\n", workers,
-                  serial_ms / out.ms);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Skew sweep: a single hot relation holding thousands of distinct join
-// keys, self-joined on the first field. Relation-hash partitioning is
-// useless here — every change lands in the one home partition, so the
-// partitioned matcher degrades to the serial scan plus merge overhead.
-// Value-hash splitting is the fix: S sub-partitions each hold ~1/S of
-// the alpha memory, so the linear join scans that dominate this
-// workload shrink by S. The acceptance gate below requires the split
-// configuration to beat the unsplit partitioned matcher by >= 1.3x
-// wall time with a byte-identical conflict-set dump.
+// match_skew: one hot relation holding thousands of distinct join keys,
+// self-joined on the first field. A scanning join visits the whole alpha
+// memory (~2,000+ items) per added WME; the hashed memories visit one
+// bucket. The gate below is on that work count, which is deterministic,
+// not on wall time.
 
 constexpr const char* kSkewProgram = R"(
 (relation hot (k int) (v int))
@@ -345,130 +315,49 @@ constexpr const char* kSkewProgram = R"(
 
 constexpr int kSkewPreload = 2000;
 constexpr int kSkewBatches = 800;
-constexpr size_t kSkewSplitWays = 4;
+/// Join-test pairs per added WME the skew sweep may examine: one for the
+/// first CE's join plus both activations of the keyed join, each visiting
+/// one key's bucket (~2-3 WMEs on average; 5.4 per add in total today).
+constexpr double kSkewMaxCandidatesPerAdd = 8;
 
-/// partitions == 0 selects the serial Rete reference; split_ways > 0 arms
-/// value-hash splitting with an immediate trigger (streak 1), so the
-/// sweep pays the one-time sub-partition rebuild inside the timed
-/// region — the honest accounting for a matcher that splits mid-run.
-MatchOutcome RunSkewPhase(size_t partitions, size_t workers,
-                          size_t split_ways, const std::string* expected) {
-  WorkingMemory wm;
-  auto rules = LoadProgram(kSkewProgram, &wm).ValueOrDie();
-
-  {
-    // Preload distinct keys so the alpha memories are deep but the
-    // conflict set stays small until the random stream adds duplicates.
-    Delta preload;
-    for (int i = 0; i < kSkewPreload; ++i) {
-      preload.Create(Sym("hot"), {Value::Int(i), Value::Int(i % 7)});
-    }
-    DBPS_CHECK(wm.Apply(preload).ok());
+void SkewPreload(Delta* delta) {
+  // Distinct keys: the alpha memory is deep, the conflict set stays
+  // small until the random stream adds duplicates.
+  for (int i = 0; i < kSkewPreload; ++i) {
+    delta->Create(Sym("hot"), {Value::Int(i), Value::Int(i % 7)});
   }
-
-  std::unique_ptr<Matcher> matcher;
-  PartitionedMatcher* partitioned = nullptr;
-  if (partitions == 0) {
-    matcher = CreateMatcher(MatcherKind::kRete);
-  } else {
-    PartitionedMatcher::Options options;
-    options.num_partitions = partitions;
-    options.num_workers = workers;
-    if (split_ways > 0) {
-      options.split_hot = true;
-      options.split_ways = split_ways;
-      options.split_streak = 1;
-      options.split_share = 0.5;
-    }
-    auto owned = std::make_unique<PartitionedMatcher>(options);
-    partitioned = owned.get();
-    matcher = std::move(owned);
-  }
-  DBPS_CHECK(matcher->Initialize(rules, wm).ok());
-
-  MatchOutcome out;
-  Random rng(20260809);
-  Stopwatch sweep;
-  for (int b = 0; b < kSkewBatches; ++b) {
-    Delta delta;
-    const size_t ops = 2 + rng.Uniform(4);
-    for (size_t op = 0; op < ops; ++op) {
-      delta.Create(Sym("hot"),
-                   {Value::Int(static_cast<int64_t>(
-                        rng.Uniform(kSkewPreload))),
-                    Value::Int(static_cast<int64_t>(rng.Uniform(1000)))});
-    }
-    auto change_or = wm.Apply(delta);
-    DBPS_CHECK(change_or.ok()) << change_or.status();
-    const std::vector<WmChange> changes{std::move(change_or).ValueOrDie()};
-    Stopwatch batch_clock;
-    matcher->ApplyChanges(changes);
-    out.latency.Add(batch_clock.ElapsedSeconds() * 1e3);
-  }
-  out.ms = sweep.ElapsedSeconds() * 1e3;
-  out.batches = kSkewBatches;
-  if (partitioned != nullptr) {
-    const PartitionedMatcher::Stats stats = partitioned->GetStats();
-    out.morsels = stats.morsels;
-    out.handoffs = stats.handoffs;
-    out.splits = stats.splits;
-  }
-  out.dump = matcher->conflict_set().CanonicalDump();
-  if (expected != nullptr) {
-    out.valid = out.dump == *expected;
-  } else {
-    auto reference = CreateMatcher(MatcherKind::kRete);
-    DBPS_CHECK(reference->Initialize(rules, wm).ok());
-    out.valid = reference->conflict_set().CanonicalDump() == out.dump;
-  }
-  return out;
 }
 
-void SweepMatchSkew(bench::JsonReport* report, size_t max_workers) {
-  const size_t workers = max_workers < 8 ? max_workers : 8;
-  bench::Section(
-      "match skew — one hot relation, " + std::to_string(kSkewPreload) +
-      " preloaded keys, self-join on ^k; value-hash split (" +
-      std::to_string(kSkewSplitWays) + " ways) vs unsplit partitions");
-  std::printf("\n  %-12s %-7s %9s %8s %8s %8s %8s %6s\n", "matcher",
-              "workers", "ms", "morsels", "splits", "p50us", "p99us",
-              "valid");
+void SkewBatch(Random* rng, Delta* delta) {
+  const size_t ops = 2 + rng->Uniform(4);
+  for (size_t op = 0; op < ops; ++op) {
+    delta->Create(Sym("hot"),
+                  {Value::Int(static_cast<int64_t>(rng->Uniform(kSkewPreload))),
+                   Value::Int(static_cast<int64_t>(rng->Uniform(1000)))});
+  }
+}
 
-  auto emit = [&](const char* name, const char* proto, size_t threads,
-                  const MatchOutcome& out) {
-    std::printf("  %-12s %-7zu %9.2f %8llu %8llu %8.1f %8.1f %6s\n", name,
-                threads, out.ms, (unsigned long long)out.morsels,
-                (unsigned long long)out.splits,
-                out.latency.Percentile(50) * 1e3,
-                out.latency.Percentile(99) * 1e3, out.valid ? "OK" : "FAIL");
-    DBPS_CHECK(out.valid) << "match skew diverged for " << name;
-    bench::JsonRow row;
-    row.workload = "match_skew";
-    row.threads = threads;
-    row.protocol = proto;
-    row.wall_ms = out.ms;
-    row.committed = out.batches;
-    row.SetLatencies(out.latency);
-    report->Add(row);
-  };
-
-  const MatchOutcome serial = RunSkewPhase(0, 1, 0, nullptr);
-  emit("serial", "serial", 1, serial);
-  const MatchOutcome unsplit = RunSkewPhase(8, workers, 0, &serial.dump);
-  emit("part8", "partitioned", workers, unsplit);
-  const MatchOutcome split =
-      RunSkewPhase(8, workers, kSkewSplitWays, &serial.dump);
-  emit("part8-split", "split", workers, split);
-
-  std::printf("               split vs unsplit: %.2fx, vs serial: %.2fx\n",
-              unsplit.ms / split.ms, serial.ms / split.ms);
-  DBPS_CHECK_GE(split.splits, 1u)
-      << "hot partition never split under a pure single-relation skew";
-  // Acceptance gate: splitting must buy >= 1.3x match-phase throughput
-  // over the unsplit partitioned matcher on this workload.
-  DBPS_CHECK(split.ms * 1.3 <= unsplit.ms)
-      << "value-hash splitting missed the 1.3x gate: split=" << split.ms
-      << "ms unsplit=" << unsplit.ms << "ms";
+void SweepMatchPhases(bench::JsonReport* report) {
+  bench::Section("match phase — serial Rete with hashed memories, median of " +
+                 std::to_string(kMatchReps) + " runs after one warm-up");
+  std::printf("\n  %-12s %9s %9s %9s %10s %8s %8s\n", "workload", "ms",
+              "min", "max", "cand/add", "p50us", "p99us");
+  SweepMatch(report, "match_phase", [] {
+    return RunMatchSweep(kMatchProgram, [](Delta*) {}, kMatchBatches,
+                         MatchPhaseBatch);
+  });
+  const MatchOutcome skew = SweepMatch(report, "match_skew", [] {
+    return RunMatchSweep(kSkewProgram, SkewPreload, kSkewBatches,
+                         SkewBatch);
+  });
+  // Gate: hashed joins keep the per-add work near the bucket size, far
+  // below the ~2,000-item scan an unindexed self-join pays.
+  const double per_add = static_cast<double>(skew.join_candidates) /
+                         static_cast<double>(skew.wmes_added);
+  DBPS_CHECK(per_add <= kSkewMaxCandidatesPerAdd)
+      << "match_skew examined " << per_add
+      << " join candidates per added WME (gate "
+      << kSkewMaxCandidatesPerAdd << ")";
 }
 
 }  // namespace
@@ -526,8 +415,7 @@ int main() {
       report.Add(row);
     }
   }
-  SweepMatchPhase(&report, max_workers);
-  SweepMatchSkew(&report, max_workers);
+  SweepMatchPhases(&report);
 
   report.WriteIfRequested();
   DBPS_CHECK(peak_parallel_seen || max_workers <= 1)

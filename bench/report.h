@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace dbps {
@@ -77,10 +78,13 @@ class LatencyRecorder {
 // configuration and writes BENCH_<name>.json into $DBPS_BENCH_JSON_DIR
 // (a no-op when the variable is unset, so ad-hoc runs stay side-effect
 // free). The schema is intentionally flat so CI can diff runs:
-//   {"bench": "...", "rows": [{"workload": ..., "threads": N,
-//     "protocol": ..., "wall_ms": X, "aborts": N, "committed": N,
+//   {"bench": "...", "host": {"nproc": N, "compiler": ..., "build": ...},
+//    "rows": [{"workload": ..., "threads": N,
+//     "protocol": ..., "wall_ms": X, "reps": N, "wall_ms_min": X,
+//     "wall_ms_max": X, "aborts": N, "committed": N,
 //     "fast_path_grants": N, "fast_hit_pct": X, "batched_commits": N,
-//     "p50_ms": X, "p95_ms": X, "p99_ms": X}]}
+//     "join_candidates": N, "p50_ms": X, "p95_ms": X, "p99_ms": X}]}
+// A row measured once has reps 1 and min == max == wall_ms.
 // The lock-manager fast-path / commit-batching fields are always
 // emitted (zero when a workload never exercises them) so CI can key on
 // their presence.
@@ -89,6 +93,11 @@ struct JsonRow {
   size_t threads = 0;
   std::string protocol;
   double wall_ms = 0;
+  /// Timed repetitions behind wall_ms (its median when > 1) and their
+  /// spread. Fill from the samples via SetWallSamples().
+  size_t reps = 1;
+  double wall_ms_min = 0;
+  double wall_ms_max = 0;
   uint64_t aborts = 0;
   uint64_t committed = 0;
   /// Lock grants that completed on the CAS fast path, and the share of
@@ -97,12 +106,23 @@ struct JsonRow {
   double fast_hit_pct = 0;
   /// Commits that rode a multi-commit sequencer batch.
   uint64_t batched_commits = 0;
+  /// Match-phase work: (token, WME) pairs handed to the Rete join tests.
+  uint64_t join_candidates = 0;
   /// Per-transaction latency percentiles in milliseconds (0 when the
   /// bench does not record per-operation latencies). Fill from a
   /// LatencyRecorder via SetLatencies().
   double p50_ms = 0;
   double p95_ms = 0;
   double p99_ms = 0;
+
+  /// `walls` must be non-empty; sets the median, min, max and reps.
+  void SetWallSamples(std::vector<double> walls) {
+    std::sort(walls.begin(), walls.end());
+    reps = walls.size();
+    wall_ms = walls[walls.size() / 2];
+    wall_ms_min = walls.front();
+    wall_ms_max = walls.back();
+  }
 
   void SetLatencies(const LatencyRecorder& recorder) {
     p50_ms = recorder.Percentile(50);
@@ -131,11 +151,22 @@ class JsonReport {
       std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
       return "";
     }
-    out << "{\n  \"bench\": \"" << bench_name_ << "\",\n  \"rows\": [\n";
+    out << "{\n  \"bench\": \"" << bench_name_ << "\",\n"
+        << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+        << ", \"compiler\": \"" << __VERSION__ << "\", \"build\": \""
+#ifdef DBPS_BUILD_TYPE
+        << DBPS_BUILD_TYPE
+#endif
+        << "\"},\n  \"rows\": [\n";
     for (size_t i = 0; i < rows_.size(); ++i) {
       const JsonRow& row = rows_[i];
-      char wall[32];
+      const bool repeated = row.reps > 1;
+      char wall[32], wall_min[32], wall_max[32];
       std::snprintf(wall, sizeof(wall), "%.3f", row.wall_ms);
+      std::snprintf(wall_min, sizeof(wall_min), "%.3f",
+                    repeated ? row.wall_ms_min : row.wall_ms);
+      std::snprintf(wall_max, sizeof(wall_max), "%.3f",
+                    repeated ? row.wall_ms_max : row.wall_ms);
       char hit[32];
       std::snprintf(hit, sizeof(hit), "%.1f", row.fast_hit_pct);
       char p50[32], p95[32], p99[32];
@@ -148,11 +179,15 @@ class JsonReport {
           << "\"threads\": " << row.threads << ", "
           << "\"protocol\": \"" << row.protocol << "\", "
           << "\"wall_ms\": " << wall << ", "
+          << "\"reps\": " << row.reps << ", "
+          << "\"wall_ms_min\": " << wall_min << ", "
+          << "\"wall_ms_max\": " << wall_max << ", "
           << "\"aborts\": " << row.aborts << ", "
           << "\"committed\": " << row.committed << ", "
           << "\"fast_path_grants\": " << row.fast_path_grants << ", "
           << "\"fast_hit_pct\": " << hit << ", "
           << "\"batched_commits\": " << row.batched_commits << ", "
+          << "\"join_candidates\": " << row.join_candidates << ", "
           << "\"p50_ms\": " << p50 << ", "
           << "\"p95_ms\": " << p95 << ", "
           << "\"p99_ms\": " << p99 << "}"

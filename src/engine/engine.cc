@@ -58,38 +58,6 @@ std::string EngineStats::ToString() const {
     }
     out += "]";
   }
-  if (match_batches != 0) {
-    out += StringPrintf(
-        " match_partitions=%zu match_batches=%llu match_morsels=%llu "
-        "match_handoffs=%llu match_propagate_us=%llu match_merge_us=%llu "
-        "match_skew=[",
-        match_partitions.size(), (unsigned long long)match_batches,
-        (unsigned long long)match_morsels, (unsigned long long)match_handoffs,
-        (unsigned long long)match_propagate_micros,
-        (unsigned long long)match_merge_micros);
-    bool first = true;
-    for (size_t bin = 0; bin < match_skew_histogram.size(); ++bin) {
-      if (match_skew_histogram[bin] == 0) continue;
-      out += StringPrintf("%s%zu0%%:%llu", first ? "" : " ", bin,
-                          (unsigned long long)match_skew_histogram[bin]);
-      first = false;
-    }
-    out += "]";
-    if (match_splits != 0 || match_rehomes != 0 || match_rehome_skips != 0) {
-      out += StringPrintf(" match_splits=%llu match_rehomes=%llu "
-                          "match_rehome_skips=%llu",
-                          (unsigned long long)match_splits,
-                          (unsigned long long)match_rehomes,
-                          (unsigned long long)match_rehome_skips);
-    }
-  }
-  if (match_pipeline_batches != 0 || match_pipeline_drains != 0) {
-    out += StringPrintf(
-        " pipeline_batches=%llu pipeline_drains=%llu pipeline_stall_us=%llu",
-        (unsigned long long)match_pipeline_batches,
-        (unsigned long long)match_pipeline_drains,
-        (unsigned long long)match_pipeline_stall_micros);
-  }
   if (adaptive_batch_adjustments != 0) {
     out += StringPrintf(" batch_limit_adjustments=%llu effective_limit=%llu",
                         (unsigned long long)adaptive_batch_adjustments,

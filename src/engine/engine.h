@@ -109,17 +109,6 @@ struct LockShardCounters {
   uint64_t fast_path_cas_retries = 0;
 };
 
-/// \brief Per-partition counters of the partitioned match phase,
-/// mirrored from PartitionedMatcher at the end of a parallel run.
-struct MatchPartitionCounters {
-  uint64_t rules = 0;         ///< rules homed in this partition
-  uint64_t morsels = 0;       ///< non-empty sub-batches propagated
-  uint64_t wmes_routed = 0;   ///< WME add/remove versions routed here
-  uint64_t handoffs = 0;      ///< routed WMEs homed in another partition
-  uint64_t propagate_ns = 0;  ///< inner propagation time in this partition
-  uint64_t subs = 0;          ///< value-hash sub-partitions (1 = unsplit)
-};
-
 /// \brief Aggregate counters of one run.
 struct EngineStats {
   uint64_t firings = 0;      ///< committed productions
@@ -170,38 +159,6 @@ struct EngineStats {
   std::array<uint64_t, 9> batch_size_histogram{};
   /// Per-shard lock-table contention counters (empty for serial engines).
   std::vector<LockShardCounters> lock_shards;
-  // --- Partitioned match phase (parallel engines, when enabled) ---------
-  /// Per-partition match counters, mirrored from the partitioned matcher
-  /// at the end of the run (empty when matching ran serial).
-  std::vector<MatchPartitionCounters> match_partitions;
-  /// Parallel propagation passes (one per non-empty commit batch).
-  uint64_t match_batches = 0;
-  /// Morsels executed (one per partition touched per batch).
-  uint64_t match_morsels = 0;
-  /// Routed WME versions consumed by a partition other than the one
-  /// homing their relation (rules whose conditions span partitions).
-  uint64_t match_handoffs = 0;
-  /// Wall time of the morsel-parallel propagate phase, microseconds.
-  uint64_t match_propagate_micros = 0;
-  /// Canonical conflict-set merge time on the committer, microseconds.
-  uint64_t match_merge_micros = 0;
-  /// Per-batch max partition share of routed WMEs, 10% bins (bin 9 = one
-  /// partition received ~everything: the skew diagnostic).
-  std::array<uint64_t, 10> match_skew_histogram{};
-  // --- Skew adaptation (hot-partition splitting / rule re-homing) -------
-  /// Hot partitions split into value-hash sub-partitions during the run.
-  uint64_t match_splits = 0;
-  /// Quiescent-point rebuilds of the rule→partition homing map.
-  uint64_t match_rehomes = 0;
-  /// Re-home triggers whose rebuilt map matched the current one (skipped).
-  uint64_t match_rehome_skips = 0;
-  // --- Match/commit pipelining ------------------------------------------
-  /// Batches propagated asynchronously by the match pipeline thread.
-  uint64_t match_pipeline_batches = 0;
-  /// Drain points that found propagation still in flight and blocked.
-  uint64_t match_pipeline_drains = 0;
-  /// Time spent blocked in those drains, microseconds.
-  uint64_t match_pipeline_stall_micros = 0;
   // --- Adaptive commit batch limit --------------------------------------
   /// Times the self-tuning controller changed the effective batch limit.
   uint64_t adaptive_batch_adjustments = 0;

@@ -9,7 +9,6 @@
 #include "analysis/lock_sets.h"
 #include "engine/adaptive_batch.h"
 #include "engine/busy_work.h"
-#include "match/partitioned_matcher.h"
 #include "rules/rhs_evaluator.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -123,22 +122,6 @@ void ParallelEngine::ExecuteBatch(const std::vector<PendingCommit*>& batch) {
     // applies — it must abort and retry while its batch-mates commit, and
     // nothing of it may reach the log.
     if (DBPS_FAILPOINT("engine.commit.crash_in_batch")) continue;
-    if (!member->is_client && pipeline_ != nullptr) {
-      // Pipelined propagation widens the claim-validation race: phase 2
-      // checked a conflict set that may not yet reflect an invalidating
-      // commit whose propagation was still queued (inline propagation
-      // finished before the invalidator released its Wa locks, so this
-      // could not happen). Re-validate the match against the live WM in
-      // ticket order; a stale member degrades to an abort and retries.
-      bool current = true;
-      for (const auto& [id, tag] : member->key->wmes) {
-        if (!wm_->IsCurrent(id, tag)) {
-          current = false;
-          break;
-        }
-      }
-      if (!current) continue;
-    }
     auto change_or = wm_->Apply(*member->delta);
     if (!change_or.ok()) {
       if (member->is_client) {
@@ -163,22 +146,8 @@ void ParallelEngine::ExecuteBatch(const std::vector<PendingCommit*>& batch) {
   // One matcher propagation pass for the whole batch — the amortization
   // this sequencer exists for. Sound because CanFold admitted only
   // pairwise-disjoint write sets (no change removes a version a sibling
-  // adds). When the match pipeline is armed the pass runs asynchronously
-  // on the pipeline thread: Submit takes a copy (the audit loop below
-  // still reads `changes`) plus a snapshot pinned HERE, in ticket order,
-  // so a split/re-home rebuild triggered by this batch feeds from state
-  // that excludes every later batch's apply.
-  if (!changes.empty()) {
-    if (pipeline_ != nullptr) {
-      WmSnapshot rebuild_snap;
-      if (options_.match_split || options_.match_rehome) {
-        rebuild_snap = wm_->SnapshotAt();
-      }
-      pipeline_->Submit(changes, std::move(rebuild_snap));
-    } else {
-      matcher_->ApplyChanges(changes);
-    }
-  }
+  // adds).
+  if (!changes.empty()) matcher_->ApplyChanges(changes);
 
   // Settle each member's Rc–Wa victims in ticket order. Under
   // kRevalidate the sparing snapshot is pinned after the WHOLE batch
@@ -186,21 +155,6 @@ void ParallelEngine::ExecuteBatch(const std::vector<PendingCommit*>& batch) {
   // *more* invalidation, so every spared firing would also have been
   // spared per-commit, and every extra abort is admissible under the
   // paper's rule (ii).
-  if (pipeline_ != nullptr &&
-      options_.abort_policy == AbortPolicy::kRevalidate) {
-    // Revalidation consults the conflict set (Contains): drain queued
-    // propagation — including this batch's — before sparing anyone, or a
-    // victim whose instantiation a pending batch deactivates would be
-    // spared that the inline path would have aborted.
-    bool any_victims = false;
-    for (PendingCommit* member : live) {
-      if (!member->victims.empty()) {
-        any_victims = true;
-        break;
-      }
-    }
-    if (any_victims) pipeline_->Drain();
-  }
   std::vector<size_t> victim_counts;
   victim_counts.reserve(live.size());
   for (PendingCommit* member : live) {
@@ -331,31 +285,8 @@ ParallelEngine::ParallelEngine(WorkingMemory* wm, RuleSetPtr rules,
 }
 
 StatusOr<RunResult> ParallelEngine::Run() {
-  if (options_.num_match_partitions > 1 &&
-      options_.base.matcher != MatcherKind::kNaive) {
-    // Morsel-parallel partitioned match phase; kNaive stays serial (the
-    // oracle rematches against live WM and cannot be partitioned).
-    PartitionedMatcher::Options match_options;
-    match_options.num_partitions = options_.num_match_partitions;
-    match_options.num_workers = std::max<size_t>(1, options_.match_workers);
-    match_options.inner = options_.base.matcher;
-    match_options.shadow_check = options_.match_shadow_check;
-    match_options.split_hot = options_.match_split;
-    match_options.split_ways = options_.match_split_ways;
-    match_options.split_streak = options_.match_split_streak;
-    match_options.split_share = options_.match_split_share;
-    match_options.rehome = options_.match_rehome;
-    match_options.rehome_streak = options_.match_rehome_streak;
-    auto partitioned = std::make_unique<PartitionedMatcher>(match_options);
-    partitioned_matcher_ = partitioned.get();
-    matcher_ = std::move(partitioned);
-  } else {
-    matcher_ = CreateMatcher(options_.base.matcher);
-  }
+  matcher_ = CreateMatcher(options_.base.matcher);
   DBPS_RETURN_NOT_OK(matcher_->Initialize(rules_, *wm_));
-  if (partitioned_matcher_ != nullptr && options_.match_pipeline) {
-    pipeline_ = std::make_unique<MatchPipeline>(partitioned_matcher_);
-  }
 
   LockManager::Options lock_options;
   lock_options.protocol = options_.protocol;
@@ -381,20 +312,9 @@ StatusOr<RunResult> ParallelEngine::Run() {
 
   // Client threads may still be inside CommitExternal/AbortExternal;
   // drain them before composing the result (the log and commit_seq_ are
-  // only stable once the pipeline is empty).
+  // only stable once the commit path is empty).
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return ext_inflight_ == 0; });
-  if (pipeline_ != nullptr) {
-    // The log and commit_seq_ were stable at worker exit; the matcher's
-    // own stats are not until queued propagation finishes. Destroying the
-    // pipeline drains it and joins the thread.
-    pipeline_->Drain();
-    const MatchPipeline::Stats pipeline_stats = pipeline_->stats();
-    stats_.match_pipeline_batches = pipeline_stats.batches;
-    stats_.match_pipeline_drains = pipeline_stats.drains;
-    stats_.match_pipeline_stall_micros = pipeline_stats.stall_ns / 1000;
-    pipeline_.reset();
-  }
   stats_.elapsed_seconds = stopwatch.ElapsedSeconds();
   stats_.peak_parallel_executions = peak_executing_.load();
   stats_.backoff_micros = backoff_micros_.load();
@@ -416,33 +336,6 @@ StatusOr<RunResult> ParallelEngine::Run() {
         shard.acquires, shard.waits, shard.mutex_contentions, shard.hold_ns,
         shard.fast_path_grants, shard.fast_path_cas_retries});
   }
-  if (partitioned_matcher_ != nullptr) {
-    const PartitionedMatcher::Stats match_stats =
-        partitioned_matcher_->GetStats();
-    stats_.match_batches = match_stats.batches;
-    stats_.match_morsels = match_stats.morsels;
-    stats_.match_handoffs = match_stats.handoffs;
-    stats_.match_propagate_micros = match_stats.propagate_wall_ns / 1000;
-    stats_.match_merge_micros = match_stats.merge_ns / 1000;
-    stats_.match_splits = match_stats.splits;
-    stats_.match_rehomes = match_stats.rehomes;
-    stats_.match_rehome_skips = match_stats.rehome_skips;
-    for (size_t i = 0; i < match_stats.skew_histogram.size(); ++i) {
-      stats_.match_skew_histogram[i] = match_stats.skew_histogram[i];
-    }
-    stats_.match_partitions.clear();
-    stats_.match_partitions.reserve(match_stats.partitions.size());
-    for (const PartitionedMatcher::PartitionCounters& part :
-         match_stats.partitions) {
-      stats_.match_partitions.push_back(
-          MatchPartitionCounters{part.rules, part.morsels, part.wmes_routed,
-                                 part.handoffs, part.propagate_ns,
-                                 part.subs});
-    }
-    // A shadow-check divergence means the parallel matcher broke the
-    // serial-equivalence contract: fail the whole run, loudly.
-    DBPS_RETURN_NOT_OK(partitioned_matcher_->shadow_status());
-  }
   return RunResult{stats_, log_};
 }
 
@@ -454,21 +347,11 @@ void ParallelEngine::WorkerLoop(size_t worker_index) {
       std::unique_lock<std::mutex> lock(mu_);
       for (;;) {
         if (done_) return;
-        // Match/commit pipelining: the conflict set must reflect every
-        // committed batch before this worker selects — same selection
-        // order as the inline path, and (with the same termination
-        // argument) the run cannot be declared done with propagation
-        // still queued: Submits happen-before in_flight_/ext_inflight_
-        // decrements, which take mu_, which we hold from here through
-        // the done_ decision below.
-        if (pipeline_ != nullptr && !pipeline_->Idle()) {
-          lock.unlock();
-          pipeline_->Drain();
-          lock.lock();
-          continue;
-        }
+        // Claims in flight count against the firing budget: each may
+        // still commit, so two workers must not both take the last slot.
         const bool may_claim =
-            !halted_ && stats_.firings < options_.base.max_firings;
+            !halted_ &&
+            stats_.firings + in_flight_ < options_.base.max_firings;
         if (may_claim) {
           inst = matcher_->conflict_set().Claim(options_.base.strategy, &rng);
           if (inst != nullptr) {

@@ -60,15 +60,12 @@
 #include <unordered_map>
 
 #include "engine/engine.h"
-#include "engine/match_pipeline.h"
 #include "lock/lock_manager.h"
 #include "rules/rule.h"
 #include "util/statusor.h"
 #include "wm/working_memory.h"
 
 namespace dbps {
-
-class PartitionedMatcher;
 
 /// \brief How a committer treats transactions holding conflicting Rc
 /// locks (kRcRaWa only).
@@ -133,43 +130,6 @@ struct ParallelEngineOptions {
   /// [0, start_seq), and the restarted engine's commits must extend that
   /// numbering without a gap or overlap.
   uint64_t start_seq = 0;
-  /// Relation-hash match partitions (match/partitioned_matcher.h). 0 or 1
-  /// = the serial matcher exactly as before; >1 partitions the matcher by
-  /// Mix64(relation) % N — mirroring the lock shards — and propagates
-  /// each commit batch's delta morsel-parallel. Ignored for kNaive (the
-  /// oracle stays serial by design).
-  size_t num_match_partitions = 0;
-  /// Morsel workers draining partition change queues when partitioned
-  /// matching is on. 1 = serial ablation: identical partitioning,
-  /// routing and canonical merge, but inline single-threaded execution.
-  size_t match_workers = 4;
-  /// Debug/differential aid: shadow every partitioned-matcher batch with
-  /// a full serial matcher and fail the run on the first conflict-set
-  /// divergence. Expensive; chaos/differential tests only.
-  bool match_shadow_check = false;
-  // --- Skew adaptation (partitioned matcher only) -----------------------
-  /// Split a hot partition's alpha memories by value-hash of the tested
-  /// first-CE attribute into `match_split_ways` sub-partitions, each with
-  /// its own inner matcher, once its share of routed WMEs stays >=
-  /// `match_split_share` for `match_split_streak` consecutive batches.
-  /// Canonical (partition, sub-partition, call-order) merge keeps
-  /// journals byte-identical. Ignored when matching runs serial.
-  bool match_split = false;
-  size_t match_split_ways = 4;
-  size_t match_split_streak = 4;
-  double match_split_share = 0.6;
-  /// Rebuild the rule→partition homing map at a pinned snapshot CSN
-  /// (quiescent point between batches) when the skew histogram saturates
-  /// bin 9 for `match_rehome_streak` consecutive batches.
-  bool match_rehome = false;
-  size_t match_rehome_streak = 16;
-  /// Route committed batches to the matcher through a dedicated
-  /// propagation thread so batch N's match propagation overlaps batch
-  /// N+1's lock acquisition and victim collection. Workers drain the
-  /// pipeline before claiming the next firing (and before revalidate
-  /// settling), so selection order — and the journal — stay byte-
-  /// identical to the inline path. Ignored when matching runs serial.
-  bool match_pipeline = false;
   /// Self-tune the effective commit batch limit from the observed
   /// batch-size histogram and sequencer stall time (engine/
   /// adaptive_batch.h): `commit_batch_limit` is the starting point and
@@ -423,13 +383,6 @@ class ParallelEngine {
   RuleSetPtr rules_;
   ParallelEngineOptions options_;
   std::unique_ptr<Matcher> matcher_;
-  /// Non-null iff matcher_ is a PartitionedMatcher (num_match_partitions
-  /// > 1 on a partitionable algorithm); used for stats harvest and the
-  /// shadow-check verdict at the end of the run.
-  PartitionedMatcher* partitioned_matcher_ = nullptr;
-  /// Non-null iff match_pipeline is armed on a partitioned matcher; owns
-  /// the dedicated propagation thread (engine/match_pipeline.h).
-  std::unique_ptr<MatchPipeline> pipeline_;
   std::unique_ptr<LockManager> lock_manager_;
 
   /// Worker-scheduling mutex: guards in_flight_, done_, halted_, stats_,

@@ -11,28 +11,13 @@ void ConflictSet::Activate(InstPtr inst) {
   DBPS_CHECK(inst != nullptr);
   InstKey key = inst->key();
   std::lock_guard<std::mutex> lock(mu_);
-  if (sink_ != nullptr) {
-    sink_->push_back(ConflictEvent{true, std::move(inst), std::move(key)});
-    return;
-  }
-  if (refraction_ && fired_.count(key) != 0) return;
   active_.emplace(std::move(key), Entry{std::move(inst), next_seq_++});
 }
 
 void ConflictSet::Deactivate(const InstKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (sink_ != nullptr) {
-    sink_->push_back(ConflictEvent{false, nullptr, key});
-    return;
-  }
   active_.erase(key);
   claimed_.erase(key);
-  fired_.erase(key);
-}
-
-void ConflictSet::SetEventSink(std::vector<ConflictEvent>* events) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sink_ = events;
 }
 
 InstPtr ConflictSet::Find(const InstKey& key) const {
@@ -65,13 +50,6 @@ void ConflictSet::MarkFired(const InstKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   active_.erase(key);
   claimed_.erase(key);
-  if (refraction_) fired_.insert(key);
-}
-
-void ConflictSet::EnableRefractionMemory(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  refraction_ = enabled;
-  if (!enabled) fired_.clear();
 }
 
 std::vector<InstPtr> ConflictSet::Snapshot() const {

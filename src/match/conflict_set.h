@@ -27,14 +27,6 @@
 
 namespace dbps {
 
-/// One diverted conflict-set mutation (see ConflictSet::SetEventSink):
-/// either an activation (inst set) or a deactivation (key set).
-struct ConflictEvent {
-  bool activate = false;
-  InstPtr inst;  // set iff activate
-  InstKey key;   // set iff !activate
-};
-
 /// \brief The set of active (satisfied) instantiations.
 class ConflictSet {
  public:
@@ -44,16 +36,6 @@ class ConflictSet {
 
   /// Deactivates (LHS no longer satisfied). No-op if absent.
   void Deactivate(const InstKey& key);
-
-  /// Diverts subsequent Activate/Deactivate calls into `events` (appended
-  /// in call order) instead of mutating this set; nullptr restores normal
-  /// behavior. PartitionedMatcher points each partition-local matcher's
-  /// set at a per-partition buffer, then replays the buffers onto the
-  /// shared engine-facing set in canonical partition order — replaying an
-  /// event stream through Activate/Deactivate reproduces the exact
-  /// mutations the recording matcher would have made. While a sink is
-  /// installed the set itself never changes, so reads are vacuous.
-  void SetEventSink(std::vector<ConflictEvent>* events);
 
   bool Contains(const InstKey& key) const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -72,20 +54,10 @@ class ConflictSet {
   /// No-op if the key is no longer active (it was invalidated meanwhile).
   void Unclaim(const InstKey& key);
 
-  /// Marks a claimed instantiation as fired: removes it entirely. With
-  /// refraction memory enabled, also records a tombstone so a later
-  /// re-activation of the same key (e.g. a quiescent-point rebuild of
-  /// partition matchers re-deriving a fired-but-still-satisfied
-  /// instantiation) is suppressed instead of re-entering the set.
+  /// Marks a claimed instantiation as fired: removes it entirely.
+  /// Refraction needs nothing more: the matchers never re-derive an
+  /// instantiation whose matched versions are unchanged.
   void MarkFired(const InstKey& key);
-
-  /// Enables refraction tombstones (see MarkFired). Off by default: the
-  /// serial matchers never re-derive a fired instantiation, so only the
-  /// skew-adaptive partitioned matcher (whose split/re-home rebuilds
-  /// re-scan state from a snapshot) needs it. A Deactivate erases the
-  /// key's tombstone — the LHS ceased to hold, so any later activation
-  /// is a genuinely new episode, matching serial negated-CE semantics.
-  void EnableRefractionMemory(bool enabled);
 
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -128,12 +100,7 @@ class ConflictSet {
   mutable std::mutex mu_;
   std::unordered_map<InstKey, Entry, InstKeyHash> active_;
   std::unordered_set<InstKey, InstKeyHash> claimed_;
-  /// Refraction tombstones (EnableRefractionMemory): keys fired but not
-  /// yet deactivated; Activate on them is suppressed.
-  std::unordered_set<InstKey, InstKeyHash> fired_;
-  bool refraction_ = false;
   uint64_t next_seq_ = 0;
-  std::vector<ConflictEvent>* sink_ = nullptr;
 };
 
 }  // namespace dbps

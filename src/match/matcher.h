@@ -27,17 +27,6 @@ class Matcher {
   /// of `wm`. Must be called exactly once, before any ApplyChange.
   virtual Status Initialize(RuleSetPtr rules, const WorkingMemory& wm) = 0;
 
-  /// Like Initialize, but matches the contents of a pinned snapshot
-  /// instead of the live database. PartitionedMatcher builds every
-  /// partition-local matcher at one consistent CSN this way, off the
-  /// commit path. Not every matcher supports it (the naive oracle
-  /// rematches against live WM by design).
-  virtual Status InitializeAt(RuleSetPtr rules, const WmSnapshot& snap) {
-    (void)rules;
-    (void)snap;
-    return Status::Unimplemented("matcher does not support snapshot init");
-  }
-
   /// Processes one committed change: `change.removed` WME versions leave,
   /// `change.added` versions enter. Updates the conflict set.
   virtual void ApplyChange(const WmChange& change) = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_set>
 
 #include "match/naive_matcher.h"
 #include "match/treat.h"
@@ -72,6 +73,38 @@ struct BetaTest {
   size_t other_field;
 };
 
+/// The test a join/negative node hashes its inputs on: its first equality
+/// test, or null when it has none (the node then scans).
+inline const BetaTest* FirstEqualityTest(const std::vector<BetaTest>& tests) {
+  for (const BetaTest& test : tests) {
+    if (test.pred == TestPredicate::kEq) return &test;
+  }
+  return nullptr;
+}
+
+/// Hash buckets keyed by ValueBucketEq, which is coarser than ==: every
+/// bucket member is still handed to the join tests.
+template <typename T>
+using ValueBuckets = std::unordered_map<Value, T, ValueHash, ValueBucketEq>;
+
+using WmeSet = std::unordered_map<const Wme*, WmePtr>;
+
+/// Appends `item` to `vec`, remembering its slot in `item->*pos`.
+template <typename T>
+void Link(std::vector<T*>* vec, T* item, size_t T::*pos) {
+  item->*pos = vec->size();
+  vec->push_back(item);
+}
+
+/// O(1) removal of a Link()ed item: the last element takes its slot.
+template <typename T>
+void Unlink(std::vector<T*>* vec, T* item, size_t T::*pos) {
+  T* last = vec->back();
+  (*vec)[item->*pos] = last;
+  last->*pos = item->*pos;
+  vec->pop_back();
+}
+
 /// Right-input listener: joins and negative nodes.
 class AlphaSuccessor {
  public:
@@ -83,7 +116,10 @@ struct AlphaMemory {
   std::vector<AlphaTest> tests;
   SymbolId relation;
   /// Items currently passing the tests (value keeps the version alive).
-  std::unordered_map<const Wme*, WmePtr> items;
+  WmeSet items;
+  /// The same items bucketed by value, for each field a successor joins
+  /// on by equality.
+  std::unordered_map<size_t, ValueBuckets<WmeSet>> index;
   /// Descendant-first order (deeper nodes first) — required so a shared
   /// alpha memory does not produce duplicate matches within one rule.
   std::vector<AlphaSuccessor*> successors;
@@ -94,11 +130,43 @@ struct AlphaMemory {
     }
     return true;
   }
+
+  /// Called while the network is built, before any WME arrives.
+  void IndexField(size_t field) {
+    DBPS_CHECK(items.empty());
+    index.try_emplace(field);
+  }
+
+  void Add(const WmePtr& wme) {
+    items.emplace(wme.get(), wme);
+    for (auto& [field, buckets] : index) {
+      buckets[wme->value(field)].emplace(wme.get(), wme);
+    }
+  }
+
+  void Remove(const Wme* wme) {
+    items.erase(wme);
+    for (auto& [field, buckets] : index) {
+      auto it = buckets.find(wme->value(field));
+      DBPS_DCHECK(it != buckets.end());
+      it->second.erase(wme);
+      if (it->second.empty()) buckets.erase(it);
+    }
+  }
+
+  /// The items whose `field` may equal `key`, or null if none can.
+  const WmeSet* Probe(size_t field, const Value& key) const {
+    const auto& buckets = index.at(field);
+    auto it = buckets.find(key);
+    return it == buckets.end() ? nullptr : &it->second;
+  }
 };
 
 struct NegJoinResult {
   Token* owner;
   const Wme* wme;
+  size_t owner_pos = 0;  // slot in owner->join_results
+  size_t wme_pos = 0;    // slot in the WME's WmeInfo::neg_results
 };
 
 struct Token {
@@ -108,6 +176,9 @@ struct Token {
   std::vector<Token*> children;
   /// Only for negative-node tokens: the WMEs currently blocking them.
   std::vector<NegJoinResult*> join_results;
+  size_t holder_pos = 0;  // slot in holder->tokens
+  size_t child_pos = 0;   // slot in parent->children
+  size_t wme_pos = 0;     // slot in the WME's WmeInfo::tokens
 };
 
 /// Left-input listener: joins, negative nodes, production nodes.
@@ -116,7 +187,8 @@ class Successor {
   virtual ~Successor() = default;
   /// `t` was added to (and is active in) the upstream holder.
   virtual void OnTokenAdded(Token* t) = 0;
-  /// `t` is leaving the upstream holder (or became blocked).
+  /// `t` is leaving the upstream holder (or became blocked). Also fires
+  /// for a blocked token that is deleted, so it may repeat a removal.
   virtual void OnTokenRemoved(Token* t) = 0;
 };
 
@@ -133,6 +205,9 @@ class TokenHolder {
     return true;
   }
 
+  /// `t` is about to be destroyed (its descendants already are).
+  virtual void Forget(Token* t) { (void)t; }
+
   std::vector<Token*> tokens;
   std::vector<Successor*> successors;
 };
@@ -144,6 +219,48 @@ struct WmeInfo {
   std::vector<AlphaMemory*> amems;
   std::vector<Token*> tokens;               // BM tokens whose wme this is
   std::vector<NegJoinResult*> neg_results;  // results blocking neg tokens
+};
+
+/// Walks `n` parent links up from `t`.
+inline const Token* WalkUp(const Token* t, size_t n) {
+  while (n-- > 0) {
+    DBPS_DCHECK(t->parent != nullptr);
+    t = t->parent;
+  }
+  return t;
+}
+
+/// The value of `key`'s other field in the chain ending in token `t`.
+inline const Value& TokenKey(const BetaTest& key, const Token* t) {
+  const Token* other = WalkUp(t, key.levels_up);
+  DBPS_DCHECK(other->wme != nullptr);
+  return other->wme->value(key.other_field);
+}
+
+/// Tokens bucketed by TokenKey — a node's active left tokens.
+class TokenIndex {
+ public:
+  explicit TokenIndex(const BetaTest* key) : key_(key) {}
+
+  void Insert(Token* t) { buckets_[TokenKey(*key_, t)].insert(t); }
+
+  /// Tolerates tokens that are not indexed.
+  void Erase(Token* t) {
+    auto it = buckets_.find(TokenKey(*key_, t));
+    if (it == buckets_.end()) return;
+    it->second.erase(t);
+    if (it->second.empty()) buckets_.erase(it);
+  }
+
+  /// The tokens that may join a WME whose key field holds `value`.
+  const std::unordered_set<Token*>* Probe(const Value& value) const {
+    auto it = buckets_.find(value);
+    return it == buckets_.end() ? nullptr : &it->second;
+  }
+
+ private:
+  const BetaTest* key_;
+  ValueBuckets<std::unordered_set<Token*>> buckets_;
 };
 
 class Network {
@@ -164,20 +281,36 @@ class Network {
     t->parent = parent;
     t->wme = std::move(wme);
     t->holder = holder;
-    if (parent != nullptr) parent->children.push_back(t);
-    holder->tokens.push_back(t);
+    if (parent != nullptr) Link(&parent->children, t, &Token::child_pos);
+    Link(&holder->tokens, t, &Token::holder_pos);
     if (t->wme != nullptr) {
       auto it = wme_infos_.find(t->wme.get());
       DBPS_CHECK(it != wme_infos_.end());
-      it->second.tokens.push_back(t);
+      Link(&it->second.tokens, t, &Token::wme_pos);
     }
     return t;
   }
 
   void AddNegJoinResult(Token* owner, const Wme* wme) {
     auto* result = new NegJoinResult{owner, wme};
-    owner->join_results.push_back(result);
-    wme_infos_.at(wme).neg_results.push_back(result);
+    Link(&owner->join_results, result, &NegJoinResult::owner_pos);
+    Link(&wme_infos_.at(wme).neg_results, result, &NegJoinResult::wme_pos);
+  }
+
+  /// Evaluates beta tests for candidate `wme` against the chain ending in
+  /// left token `t`, counting the pair as a join candidate.
+  bool PassesBetaTests(const std::vector<BetaTest>& tests, const Token* t,
+                       const Wme& wme) {
+    ++join_candidates_;
+    for (const auto& test : tests) {
+      const Token* other = WalkUp(t, test.levels_up);
+      DBPS_DCHECK(other->wme != nullptr);
+      if (!EvalPredicate(test.pred, wme.value(test.field),
+                         other->wme->value(test.other_field))) {
+        return false;
+      }
+    }
+    return true;
   }
 
   /// Deletes t and its whole subtree, notifying production nodes.
@@ -193,33 +326,24 @@ class Network {
     while (!t->children.empty()) DeleteToken(t->children.back());
   }
 
-  WmeInfo* FindWmeInfo(const Wme* wme) {
-    auto it = wme_infos_.find(wme);
-    return it == wme_infos_.end() ? nullptr : &it->second;
-  }
-
  private:
   void CleanupToken(Token* t) {
     for (NegJoinResult* result : t->join_results) {
-      auto& results = wme_infos_.at(result->wme).neg_results;
-      results.erase(std::find(results.begin(), results.end(), result));
+      Unlink(&wme_infos_.at(result->wme).neg_results, result,
+             &NegJoinResult::wme_pos);
       delete result;
     }
     t->join_results.clear();
-    auto& holder_tokens = t->holder->tokens;
-    holder_tokens.erase(
-        std::find(holder_tokens.begin(), holder_tokens.end(), t));
+    t->holder->Forget(t);
+    Unlink(&t->holder->tokens, t, &Token::holder_pos);
     if (t->wme != nullptr) {
       auto it = wme_infos_.find(t->wme.get());
       if (it != wme_infos_.end()) {
-        auto& wme_tokens = it->second.tokens;
-        wme_tokens.erase(
-            std::find(wme_tokens.begin(), wme_tokens.end(), t));
+        Unlink(&it->second.tokens, t, &Token::wme_pos);
       }
     }
     if (t->parent != nullptr) {
-      auto& siblings = t->parent->children;
-      siblings.erase(std::find(siblings.begin(), siblings.end(), t));
+      Unlink(&t->parent->children, t, &Token::child_pos);
     }
     delete t;
   }
@@ -241,34 +365,14 @@ class Network {
   std::vector<std::unique_ptr<class ProductionNode>> production_nodes_;
 
   std::unordered_map<const Wme*, WmeInfo> wme_infos_;
-
-  friend class ReteMatcherTestPeer;
+  size_t join_candidates_ = 0;
 };
 
-/// Walks `n` parent links up from `t`.
-inline const Token* WalkUp(const Token* t, size_t n) {
-  while (n-- > 0) {
-    DBPS_DCHECK(t->parent != nullptr);
-    t = t->parent;
-  }
-  return t;
-}
-
-/// Evaluates beta tests for candidate `wme` against the chain ending in
-/// left token `t`.
-inline bool PassesBetaTests(const std::vector<BetaTest>& tests,
-                            const Token* t, const Wme& wme) {
-  for (const auto& test : tests) {
-    const Token* other = WalkUp(t, test.levels_up);
-    DBPS_DCHECK(other->wme != nullptr);
-    if (!EvalPredicate(test.pred, wme.value(test.field),
-                       other->wme->value(test.other_field))) {
-      return false;
-    }
-  }
-  return true;
-}
-
+/// A positive CE's join. With an equality test it hashes both inputs on
+/// it: the alpha memory buckets its items, and the node buckets its
+/// active left tokens (inserted on OnTokenAdded, dropped on
+/// OnTokenRemoved, which also fires when an upstream negation blocks
+/// them). Without one it scans.
 class JoinNode : public Successor, public AlphaSuccessor {
  public:
   JoinNode(Network* network, TokenHolder* left, AlphaMemory* amem,
@@ -277,27 +381,46 @@ class JoinNode : public Successor, public AlphaSuccessor {
         left_(left),
         amem_(amem),
         tests_(std::move(tests)),
-        child_(child) {}
+        child_(child),
+        key_(FirstEqualityTest(tests_)),
+        left_index_(key_) {
+    if (key_ != nullptr) amem_->IndexField(key_->field);
+  }
 
   void OnTokenAdded(Token* t) override {
-    for (const auto& [raw, wme] : amem_->items) {
-      if (PassesBetaTests(tests_, t, *raw)) Emit(t, wme);
+    const WmeSet* candidates = &amem_->items;
+    if (key_ != nullptr) {
+      left_index_.Insert(t);
+      candidates = amem_->Probe(key_->field, TokenKey(*key_, t));
+      if (candidates == nullptr) return;
+    }
+    for (const auto& [raw, wme] : *candidates) {
+      if (network_->PassesBetaTests(tests_, t, *raw)) Emit(t, wme);
     }
   }
 
   void OnTokenRemoved(Token* t) override {
-    (void)t;  // subtree deletion removes the child tokens directly
+    // Subtree deletion removes the child tokens directly.
+    if (key_ != nullptr) left_index_.Erase(t);
   }
 
   void OnWmeAdded(const WmePtr& wme) override {
-    for (Token* t : left_->tokens) {
-      if (left_->TokenActive(t) && PassesBetaTests(tests_, t, *wme)) {
-        Emit(t, wme);
+    if (key_ == nullptr) {
+      for (Token* t : left_->tokens) {
+        if (left_->TokenActive(t) &&
+            network_->PassesBetaTests(tests_, t, *wme)) {
+          Emit(t, wme);
+        }
       }
+      return;
+    }
+    const auto* bucket = left_index_.Probe(wme->value(key_->field));
+    if (bucket == nullptr) return;
+    for (Token* t : *bucket) {
+      if (network_->PassesBetaTests(tests_, t, *wme)) Emit(t, wme);
     }
   }
 
-  TokenHolder* left() const { return left_; }
   BetaMemory* child() const { return child_; }
 
  private:
@@ -311,28 +434,50 @@ class JoinNode : public Successor, public AlphaSuccessor {
   AlphaMemory* amem_;
   std::vector<BetaTest> tests_;
   BetaMemory* child_;
+  const BetaTest* key_;  // into tests_, or null
+  TokenIndex left_index_;
 };
 
+/// A negated CE. With an equality test it probes the alpha memory's
+/// bucket on left activation and buckets its own tokens for right
+/// activation; the network's Forget hook drops destroyed tokens.
 class NegativeNode : public TokenHolder,
                      public Successor,
                      public AlphaSuccessor {
  public:
   NegativeNode(Network* network, AlphaMemory* amem,
                std::vector<BetaTest> tests)
-      : network_(network), amem_(amem), tests_(std::move(tests)) {}
+      : network_(network),
+        amem_(amem),
+        tests_(std::move(tests)),
+        key_(FirstEqualityTest(tests_)),
+        own_index_(key_) {
+    if (key_ != nullptr) amem_->IndexField(key_->field);
+  }
 
   bool TokenActive(const Token* t) const override {
     return t->join_results.empty();
+  }
+
+  void Forget(Token* t) override {
+    if (key_ != nullptr) own_index_.Erase(t);
   }
 
   // Left activation: upstream produced token `left`; store our own token
   // and propagate it iff nothing in the alpha memory blocks it.
   void OnTokenAdded(Token* left) override {
     Token* t = network_->MakeToken(this, left, nullptr);
-    for (const auto& [raw, wme] : amem_->items) {
-      (void)wme;
-      if (PassesBetaTests(tests_, t, *raw)) {
-        network_->AddNegJoinResult(t, raw);
+    const WmeSet* candidates = &amem_->items;
+    if (key_ != nullptr) {
+      own_index_.Insert(t);
+      candidates = amem_->Probe(key_->field, TokenKey(*key_, t));
+    }
+    if (candidates != nullptr) {
+      for (const auto& [raw, wme] : *candidates) {
+        (void)wme;
+        if (network_->PassesBetaTests(tests_, t, *raw)) {
+          network_->AddNegJoinResult(t, raw);
+        }
       }
     }
     if (t->join_results.empty()) {
@@ -347,15 +492,13 @@ class NegativeNode : public TokenHolder,
   // Right activation: a WME entered the alpha memory; newly blocked
   // tokens lose their downstream matches.
   void OnWmeAdded(const WmePtr& wme) override {
-    for (Token* t : tokens) {
-      if (!PassesBetaTests(tests_, t, *wme)) continue;
-      const bool was_active = t->join_results.empty();
-      network_->AddNegJoinResult(t, wme.get());
-      if (was_active) {
-        network_->DeleteDescendants(t);
-        for (Successor* s : successors) s->OnTokenRemoved(t);
-      }
+    if (key_ == nullptr) {
+      for (Token* t : tokens) Block(t, wme.get());
+      return;
     }
+    const auto* bucket = own_index_.Probe(wme->value(key_->field));
+    if (bucket == nullptr) return;
+    for (Token* t : *bucket) Block(t, wme.get());
   }
 
   /// Called by the network when a blocking WME vanished and `t` has no
@@ -365,9 +508,21 @@ class NegativeNode : public TokenHolder,
   }
 
  private:
+  void Block(Token* t, const Wme* wme) {
+    if (!network_->PassesBetaTests(tests_, t, *wme)) return;
+    const bool was_active = t->join_results.empty();
+    network_->AddNegJoinResult(t, wme);
+    if (was_active) {
+      network_->DeleteDescendants(t);
+      for (Successor* s : successors) s->OnTokenRemoved(t);
+    }
+  }
+
   Network* network_;
   AlphaMemory* amem_;
   std::vector<BetaTest> tests_;
+  const BetaTest* key_;  // into tests_, or null
+  TokenIndex own_index_;
 };
 
 class ProductionNode : public Successor {
@@ -541,7 +696,7 @@ void Network::AddWme(const WmePtr& wme) {
   if (rel_it == alpha_by_relation_.end()) return;
   for (AlphaMemory* amem : rel_it->second) {
     if (!amem->Matches(*wme)) continue;
-    amem->items.emplace(wme.get(), wme);
+    amem->Add(wme);
     it->second.amems.push_back(amem);
     for (AlphaSuccessor* s : amem->successors) s->OnWmeAdded(wme);
   }
@@ -553,7 +708,7 @@ void Network::RemoveWme(const Wme* wme) {
 
   // (1) Make the WME invisible to all joins/negations first, so token
   //     reactivations below cannot re-match it.
-  for (AlphaMemory* amem : it->second.amems) amem->items.erase(wme);
+  for (AlphaMemory* amem : it->second.amems) amem->Remove(wme);
 
   // (2) Kill every token built on this WME (and their subtrees).
   while (!it->second.tokens.empty()) {
@@ -566,10 +721,9 @@ void Network::RemoveWme(const Wme* wme) {
     NegJoinResult* result = it->second.neg_results.back();
     it->second.neg_results.pop_back();
     Token* owner = result->owner;
-    auto& owned = owner->join_results;
-    owned.erase(std::find(owned.begin(), owned.end(), result));
+    Unlink(&owner->join_results, result, &NegJoinResult::owner_pos);
     delete result;
-    if (owned.empty()) {
+    if (owner->join_results.empty()) {
       static_cast<NegativeNode*>(owner->holder)->Reactivate(owner);
     }
   }
@@ -587,6 +741,7 @@ ReteMatcher::Stats Network::GetStats() const {
   for (const auto& bm : beta_memories_) stats.tokens += bm->tokens.size();
   for (const auto& neg : negative_nodes_) stats.tokens += neg->tokens.size();
   stats.wmes = wme_infos_.size();
+  stats.join_candidates = join_candidates_;
   return stats;
 }
 
@@ -647,13 +802,9 @@ ReteMatcher::ReteMatcher() : network_(std::make_unique<rete::Network>()) {}
 ReteMatcher::~ReteMatcher() = default;
 
 Status ReteMatcher::Initialize(RuleSetPtr rules, const WorkingMemory& wm) {
-  return InitializeAt(std::move(rules), wm.SnapshotAt());
-}
-
-Status ReteMatcher::InitializeAt(RuleSetPtr rules, const WmSnapshot& snap) {
   DBPS_RETURN_NOT_OK(network_->Build(std::move(rules), &conflict_set_));
-  for (SymbolId relation : snap.catalog().relation_names()) {
-    for (const WmePtr& wme : snap.Scan(relation)) {
+  for (SymbolId relation : wm.catalog().relation_names()) {
+    for (const WmePtr& wme : wm.Scan(relation)) {
       network_->AddWme(wme);
     }
   }

@@ -15,6 +15,13 @@
 // Incrementality: ApplyChange feeds individual WME version removals and
 // additions; tokens are created/deleted along the way, so match cost is
 // proportional to the change, not to working-memory size.
+//
+// Hashed memories: a join or negative node with an equality test hashes
+// both of its inputs on the first one. The alpha memory buckets its items
+// by that field's value and the node buckets its left tokens by the value
+// they must match, so an activation visits one bucket instead of a whole
+// memory. The choice follows from the rule; a node without an equality
+// test scans.
 
 #ifndef DBPS_MATCH_RETE_H_
 #define DBPS_MATCH_RETE_H_
@@ -37,7 +44,6 @@ class ReteMatcher : public Matcher {
   ~ReteMatcher() override;
 
   Status Initialize(RuleSetPtr rules, const WorkingMemory& wm) override;
-  Status InitializeAt(RuleSetPtr rules, const WmSnapshot& snap) override;
   void ApplyChange(const WmChange& change) override;
   void ApplyChanges(const std::vector<WmChange>& changes) override;
 
@@ -50,6 +56,10 @@ class ReteMatcher : public Matcher {
     size_t production_nodes = 0;
     size_t tokens = 0;
     size_t wmes = 0;
+    /// (left token, WME) pairs handed to the join tests since Initialize
+    /// — the match work. Hashed memories keep it near the number of real
+    /// matches; a scanning node pays for its whole memory per activation.
+    size_t join_candidates = 0;
   };
   Stats GetStats() const;
 

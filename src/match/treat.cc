@@ -5,10 +5,6 @@
 namespace dbps {
 
 Status TreatMatcher::Initialize(RuleSetPtr rules, const WorkingMemory& wm) {
-  return InitializeAt(std::move(rules), wm.SnapshotAt());
-}
-
-Status TreatMatcher::InitializeAt(RuleSetPtr rules, const WmSnapshot& snap) {
   DBPS_CHECK(rules_ == nullptr) << "Initialize called twice";
   rules_ = std::move(rules);
   for (const auto& rule : rules_->rules()) {
@@ -25,8 +21,8 @@ Status TreatMatcher::InitializeAt(RuleSetPtr rules, const WmSnapshot& snap) {
     }
     states_.push_back(std::move(state));
   }
-  for (SymbolId relation : snap.catalog().relation_names()) {
-    for (const WmePtr& wme : snap.Scan(relation)) {
+  for (SymbolId relation : wm.catalog().relation_names()) {
+    for (const WmePtr& wme : wm.Scan(relation)) {
       AddWme(wme);
     }
   }

@@ -30,7 +30,6 @@ namespace dbps {
 class TreatMatcher : public Matcher {
  public:
   Status Initialize(RuleSetPtr rules, const WorkingMemory& wm) override;
-  Status InitializeAt(RuleSetPtr rules, const WmSnapshot& snap) override;
   void ApplyChange(const WmChange& change) override;
   void ApplyChanges(const std::vector<WmChange>& changes) override;
 

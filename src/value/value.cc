@@ -1,6 +1,7 @@
 #include "value/value.h"
 
 #include <cmath>
+#include <limits>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -97,17 +98,14 @@ size_t Value::Hash() const {
     case ValueType::kNil:
       break;
     case ValueType::kInt:
-      HashCombine(&seed, int_);
-      break;
     case ValueType::kFloat: {
-      // Hash integral floats like ints so 3 == 3.0 hashes identically.
-      double d = float_;
-      if (d == std::floor(d) && std::abs(d) < 1e18) {
-        seed = static_cast<size_t>(ValueType::kInt);
-        HashCombine(&seed, static_cast<int64_t>(d));
-      } else {
-        HashCombine(&seed, float_);
-      }
+      // By double value, with -0.0 folded into 0.0 and every NaN into one,
+      // so the hash respects cross-type == and ValueBucketEq.
+      double d = AsNumber();
+      if (d == 0.0) d = 0.0;
+      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
+      seed = static_cast<size_t>(ValueType::kFloat);
+      HashCombine(&seed, d);
       break;
     }
     case ValueType::kSymbol:
@@ -118,6 +116,15 @@ size_t Value::Hash() const {
       break;
   }
   return seed;
+}
+
+bool ValueBucketEq::operator()(const Value& a, const Value& b) const {
+  if (a.is_number() && b.is_number()) {
+    const double x = a.AsNumber();
+    const double y = b.AsNumber();
+    return x == y || (std::isnan(x) && std::isnan(y));
+  }
+  return a == b;
 }
 
 std::string Value::ToString() const {

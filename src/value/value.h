@@ -91,6 +91,9 @@ class Value {
   bool operator>(const Value& other) const { return other < *this; }
   bool operator>=(const Value& other) const { return other <= *this; }
 
+  /// Consistent with ==: a == b implies a.Hash() == b.Hash(). Numbers
+  /// hash by their double value, so 3 and 3.0 (and 2^53+1 and 2^53.0)
+  /// collide as == requires.
   size_t Hash() const;
 
   /// Human-readable form; symbols print their spelling, strings quoted.
@@ -110,6 +113,19 @@ std::ostream& operator<<(std::ostream& os, const Value& v);
 
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
+};
+
+/// \brief Key equality for hash buckets of values.
+///
+/// == is not transitive across large numbers (Int(2^53+1) == Float(2^53)
+/// == Int(2^53), yet the two ints differ), so it cannot key a hash table.
+/// This is the equivalence one step coarser: numbers are equivalent iff
+/// their double values are (all NaNs together), every other type compares
+/// as ==. a == b implies ValueBucketEq{}(a, b), and equivalent values hash
+/// alike, so a bucket holds every candidate; callers filter its members
+/// with the real predicate.
+struct ValueBucketEq {
+  bool operator()(const Value& a, const Value& b) const;
 };
 
 }  // namespace dbps

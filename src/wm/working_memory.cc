@@ -309,8 +309,10 @@ std::vector<WmePtr> WorkingMemory::Lookup(SymbolId relation,
   if (index_it != indexes_.end()) {
     auto bucket = index_it->second.find(v);
     if (bucket != index_it->second.end()) {
-      out.reserve(bucket->second.size());
-      for (WmeId id : bucket->second) out.push_back(live_.at(id));
+      for (WmeId id : bucket->second) {
+        const WmePtr& wme = live_.at(id);
+        if (wme->value(attr_index) == v) out.push_back(wme);
+      }
     }
     return out;
   }
@@ -504,16 +506,6 @@ std::unique_ptr<WorkingMemory> WorkingMemory::Clone() const {
   copy->next_tag_ = next_tag_;
   copy->csn_.store(csn_.load(std::memory_order_acquire),
                    std::memory_order_release);
-  return copy;
-}
-
-std::unique_ptr<WorkingMemory> WorkingMemory::CloneSchemaOnly() const {
-  std::shared_lock lock(mu_);
-  auto copy = std::make_unique<WorkingMemory>();
-  copy->catalog_ = catalog_;
-  for (const auto& [key, index] : indexes_) {
-    copy->indexes_.emplace(key, ValueIndex{});
-  }
   return copy;
 }
 

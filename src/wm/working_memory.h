@@ -173,12 +173,6 @@ class WorkingMemory {
   /// shared). Version history and active snapshots are not cloned.
   std::unique_ptr<WorkingMemory> Clone() const;
 
-  /// Copies the schema catalog (and declared index keys) only — no WMEs,
-  /// no counters. PartitionedMatcher builds empty sub-partition matchers
-  /// against such a husk and then feeds them their value-hash share of
-  /// the routed WMEs as ordinary adds.
-  std::unique_ptr<WorkingMemory> CloneSchemaOnly() const;
-
   // --- Recovery (server/recovery.h) ---------------------------------------
   //
   // Journal replay references WMEs by id, so rebuilding state from a
@@ -222,7 +216,10 @@ class WorkingMemory {
                                    k.field);
     }
   };
-  using ValueIndex = std::unordered_map<Value, std::unordered_set<WmeId>, ValueHash>;
+  /// Buckets are keyed by ValueBucketEq (numbers by double value), which
+  /// is coarser than ==; Lookup filters bucket members with ==.
+  using ValueIndex = std::unordered_map<Value, std::unordered_set<WmeId>,
+                                        ValueHash, ValueBucketEq>;
 
   /// A version that is no longer live, retained for snapshot readers.
   /// Visible to a snapshot at S iff created_csn <= S < deleted_csn.

@@ -1,21 +1,27 @@
-// The tentpole's differential gate, engine-level.
+// The matcher differential gate, engine-level.
 //
 // Part 1 (deterministic): the same program run through ParallelEngine
-// with the serial matcher and with the partitioned matcher (one engine
-// worker, same seed) must produce BYTE-IDENTICAL journals — same firing
-// order, same seqs, same deltas — because conflict-set contents are
-// provably equal after every batch and the selection strategies are
-// deterministic on contents (final tie-break on the instantiation key).
+// with Rete, TREAT and the naive rematcher (one engine worker, same seed)
+// must produce BYTE-IDENTICAL journals — same firing order, same seqs,
+// same deltas — because the three conflict sets hold the same contents
+// after every commit and the selection strategies are deterministic on
+// contents (final tie-break on the instantiation key). This covers the
+// rules-only family's program and every example program that fires on
+// its own (server_inbox waits for clients; the chaos part covers it).
 //
-// Part 2 (chaos): every chaos/workload family runs with the partitioned
-// matcher and the in-engine shadow check armed — the serial reference
-// matcher consumes the identical change stream and the conflict-set dumps
-// are byte-compared after EVERY batch inside the run; any divergence
-// fails the engine run, which fails the trial verdict. Replay validation
-// and the offline audit then re-check the journal end to end.
+// Part 2 (chaos): every chaos/workload family runs with TREAT and with
+// the naive rematcher as the engine's matcher. Client threads and fault
+// injection make those journals schedule-dependent, so the cross-matcher
+// check is the replay validator: it re-derives every firing with Rete and
+// requires the identical delta. The offline audit then re-checks the
+// journal end to end. (The chaos suites run the same families on Rete;
+// a last sweep here runs them on Rete with the adaptive batch limit.)
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,85 +38,99 @@ using testing::ChaosRunner;
 using testing::ChaosWorkload;
 using testing::MakeLogisticsWm;
 
+constexpr MatcherKind kAllMatchers[] = {MatcherKind::kRete,
+                                        MatcherKind::kTreat,
+                                        MatcherKind::kNaive};
+
 /// Renders a run's committed log as replayable journal text.
 std::string JournalText(const RunResult& result) {
   std::string text;
   for (const FiringRecord& record : result.log) {
     auto line_or = DeltaToJournalLine(record.delta);
     DBPS_CHECK(line_or.ok()) << line_or.status();
-    text += line_or.ValueOrDie();
+    text += std::to_string(record.seq) + " " + line_or.ValueOrDie();
     text += '\n';
   }
   return text;
 }
 
-/// Arms hot-partition splitting, rule re-homing, and match/commit
-/// pipelining with aggressive triggers (for short deterministic runs).
-void ArmSkewAdaptation(ParallelEngineOptions* options) {
-  options->match_split = true;
-  options->match_split_ways = 3;
-  options->match_split_streak = 1;
-  options->match_split_share = 0.5;
-  options->match_rehome = true;
-  options->match_rehome_streak = 4;
-  options->match_pipeline = true;
-}
-
-RunResult RunLogistics(size_t match_partitions, size_t match_workers,
-                       bool shadow, bool skew_adaptive = false) {
-  RuleSetPtr rules;
-  auto wm = MakeLogisticsWm(/*boxes=*/12, /*robots=*/4, /*sites=*/4, &rules);
+RunResult RunOneWorker(WorkingMemory* wm, const RuleSetPtr& rules,
+                       MatcherKind matcher, uint64_t seed) {
   ParallelEngineOptions options;
-  options.base.seed = 42;
+  options.base.seed = seed;
+  options.base.matcher = matcher;
   options.num_workers = 1;  // deterministic firing order
-  options.num_match_partitions = match_partitions;
-  options.match_workers = match_workers;
-  options.match_shadow_check = shadow;
-  if (skew_adaptive) ArmSkewAdaptation(&options);
-  ParallelEngine engine(wm.get(), rules, options);
+  ParallelEngine engine(wm, rules, options);
   auto result_or = engine.Run();
   DBPS_CHECK(result_or.ok()) << result_or.status();
   return std::move(result_or).ValueOrDie();
 }
 
-TEST(MatcherDifferentialTest, PartitionedJournalIsByteIdenticalToSerial) {
-  const RunResult serial = RunLogistics(0, 1, false);
-  const RunResult partitioned = RunLogistics(8, 4, true);
-  const RunResult ablation = RunLogistics(8, 1, false);  // serial ablation
-
-  ASSERT_GT(serial.log.size(), 0u);
-  EXPECT_EQ(serial.log.size(), partitioned.log.size());
-  EXPECT_EQ(JournalText(serial), JournalText(partitioned));
-  EXPECT_EQ(JournalText(serial), JournalText(ablation));
-  for (size_t i = 0; i < serial.log.size() && i < partitioned.log.size();
-       ++i) {
-    EXPECT_EQ(serial.log[i].seq, partitioned.log[i].seq);
-  }
-  // The partitioned run actually partitioned: stats were harvested.
-  EXPECT_GT(partitioned.stats.match_batches, 0u);
-  EXPECT_EQ(partitioned.stats.match_partitions.size(), 8u);
-  EXPECT_EQ(serial.stats.match_batches, 0u);
+RunResult RunLogistics(MatcherKind matcher) {
+  RuleSetPtr rules;
+  auto wm = MakeLogisticsWm(/*boxes=*/12, /*robots=*/4, /*sites=*/4, &rules);
+  return RunOneWorker(wm.get(), rules, matcher, /*seed=*/42);
 }
 
-// The tentpole's full stack — hot-partition value-hash splitting,
-// dynamic rule re-homing, AND match/commit pipelining — armed at once
-// (with the shadow differential watching every batch) must still
-// reproduce the serial journal byte for byte: splitting/re-homing
-// preserve canonical merge order, and the pipeline's drain-before-claim
-// keeps single-worker selection order identical to the inline path.
-TEST(MatcherDifferentialTest, SkewAdaptivePipelinedJournalIsByteIdentical) {
-  const RunResult serial = RunLogistics(0, 1, false);
-  const RunResult adaptive =
-      RunLogistics(4, 2, /*shadow=*/true, /*skew_adaptive=*/true);
-
-  ASSERT_GT(serial.log.size(), 0u);
-  EXPECT_EQ(JournalText(serial), JournalText(adaptive));
-  for (size_t i = 0; i < serial.log.size() && i < adaptive.log.size(); ++i) {
-    EXPECT_EQ(serial.log[i].seq, adaptive.log[i].seq);
+TEST(MatcherDifferentialTest, ReteTreatNaiveJournalsAreByteIdentical) {
+  const RunResult rete = RunLogistics(MatcherKind::kRete);
+  ASSERT_GT(rete.log.size(), 0u);
+  for (MatcherKind matcher : {MatcherKind::kTreat, MatcherKind::kNaive}) {
+    const RunResult other = RunLogistics(matcher);
+    EXPECT_EQ(JournalText(rete), JournalText(other))
+        << MatcherKindToString(matcher);
   }
-  // The pipeline actually carried the propagation work.
-  EXPECT_GT(adaptive.stats.match_pipeline_batches, 0u);
 }
+
+std::string ReadExample(const std::string& name) {
+  std::ifstream in(std::string(DBPS_EXAMPLES_DIR) + "/" + name);
+  DBPS_CHECK(in.good()) << "cannot open example " << name;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+class ExampleProgramDifferentialTest
+    : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ExampleProgramDifferentialTest, JournalsAreByteIdentical) {
+  const std::string source = ReadExample(GetParam());
+  std::vector<std::string> journals;
+  for (MatcherKind matcher : kAllMatchers) {
+    WorkingMemory wm;
+    auto rules_or = LoadProgram(source, &wm);
+    ASSERT_TRUE(rules_or.ok()) << rules_or.status();
+    auto pristine = wm.Clone();
+    const RunResult run =
+        RunOneWorker(&wm, rules_or.ValueOrDie(), matcher, /*seed=*/7);
+    ASSERT_TRUE(
+        ValidateReplay(pristine.get(), rules_or.ValueOrDie(), run.log).ok())
+        << MatcherKindToString(matcher);
+    journals.push_back(JournalText(run));
+  }
+  EXPECT_FALSE(journals[0].empty());
+  EXPECT_EQ(journals[0], journals[1]) << "rete vs treat";
+  EXPECT_EQ(journals[0], journals[2]) << "rete vs naive";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Examples, ExampleProgramDifferentialTest,
+    ::testing::Values("counters.dbps", "fibonacci.dbps", "manners.dbps",
+                      "monkey_bananas.dbps", "waltz_lite.dbps"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      // monkey_bananas.dbps -> MonkeyBananas
+      std::string name;
+      bool upper = true;
+      for (const char* c = info.param; *c != '.'; ++c) {
+        if (*c == '_') {
+          upper = true;
+          continue;
+        }
+        name += upper ? static_cast<char>(std::toupper(*c)) : *c;
+        upper = false;
+      }
+      return name;
+    });
 
 // Adaptive batch limit as a pass-through ablation: with one worker the
 // sequencer never folds, the controller only ever lowers the limit, and
@@ -121,71 +141,71 @@ TEST(MatcherDifferentialTest, AdaptiveBatchLimitKeepsJournalStable) {
   ParallelEngineOptions options;
   options.base.seed = 42;
   options.num_workers = 1;
-  options.num_match_partitions = 4;
   options.adaptive_batch_limit = true;
   ParallelEngine engine(wm.get(), rules, options);
   auto result_or = engine.Run();
   ASSERT_TRUE(result_or.ok()) << result_or.status();
-  const RunResult serial = RunLogistics(0, 1, false);
+  const RunResult serial = RunLogistics(MatcherKind::kRete);
   EXPECT_EQ(JournalText(serial), JournalText(result_or.ValueOrDie()));
   EXPECT_GE(result_or.ValueOrDie().stats.effective_batch_limit, 1u);
 }
 
 TEST(MatcherDifferentialTest, TreatInnerMatcherAgreesToo) {
+  // A second logistics shape and seed, TREAT against Rete.
   RuleSetPtr rules;
-  auto wm = MakeLogisticsWm(10, 3, 3, &rules);
-  ParallelEngineOptions options;
-  options.base.seed = 7;
-  options.base.matcher = MatcherKind::kTreat;
-  options.num_workers = 1;
-  options.num_match_partitions = 4;
-  options.match_workers = 2;
-  options.match_shadow_check = true;  // TREAT shadows TREAT
-  ParallelEngine engine(wm.get(), rules, options);
-  auto result_or = engine.Run();
-  ASSERT_TRUE(result_or.ok()) << result_or.status();
-
-  auto serial_wm = MakeLogisticsWm(10, 3, 3, &rules);
-  ParallelEngineOptions serial_options;
-  serial_options.base.seed = 7;
-  serial_options.base.matcher = MatcherKind::kTreat;
-  serial_options.num_workers = 1;
-  ParallelEngine serial_engine(serial_wm.get(), rules, serial_options);
-  auto serial_or = serial_engine.Run();
-  ASSERT_TRUE(serial_or.ok()) << serial_or.status();
-
-  EXPECT_EQ(JournalText(serial_or.ValueOrDie()),
-            JournalText(result_or.ValueOrDie()));
+  auto treat_wm = MakeLogisticsWm(10, 3, 3, &rules);
+  const RunResult treat =
+      RunOneWorker(treat_wm.get(), rules, MatcherKind::kTreat, /*seed=*/7);
+  auto rete_wm = MakeLogisticsWm(10, 3, 3, &rules);
+  const RunResult rete =
+      RunOneWorker(rete_wm.get(), rules, MatcherKind::kRete, /*seed=*/7);
+  ASSERT_GT(rete.log.size(), 0u);
+  EXPECT_EQ(JournalText(rete), JournalText(treat));
 }
 
-// Every chaos/workload family under the partitioned matcher with the
-// per-batch shadow differential armed. The "Chaos" suite name puts this
-// in the chaos tier, where DBPS_CHAOS_TRIALS/DBPS_CHAOS_SEED scale it.
+std::string FamilyName(const ::testing::TestParamInfo<ChaosWorkload>& info) {
+  switch (info.param) {
+    case ChaosWorkload::kRulesOnly: return "RulesOnly";
+    case ChaosWorkload::kMultiUser: return "MultiUser";
+    case ChaosWorkload::kNetwork: return "Network";
+    case ChaosWorkload::kCrashRecover: return "CrashRecover";
+    case ChaosWorkload::kZipfian: return "Zipfian";
+    case ChaosWorkload::kSnapshotScan: return "SnapshotScan";
+    case ChaosWorkload::kMixedOltp: return "MixedOltp";
+  }
+  return "Unknown";
+}
+
+// Every chaos/workload family with TREAT and with the naive rematcher as
+// the engine's matcher; the trial's Rete replay is the differential. The
+// "Chaos" suite name puts this in the chaos tier, where
+// DBPS_CHAOS_TRIALS and DBPS_CHAOS_SEED scale it.
 class MatcherDifferentialChaosTest
     : public ::testing::TestWithParam<ChaosWorkload> {};
 
-TEST_P(MatcherDifferentialChaosTest, PartitionedMatchSurvivesFamily) {
+TEST_P(MatcherDifferentialChaosTest, EveryMatcherSurvivesFamily) {
   const size_t trials = testing::ChaosTrialMultiplier();
-  for (size_t t = 0; t < trials; ++t) {
-    ChaosOptions options;
-    options.workload = GetParam();
-    options.seed = testing::ChaosSeedBase() + 7700 + t * 13;
-    options.fail_rate = 0.03;
-    options.client_sessions = 2;
-    options.txns_per_session = 6;
-    options.match_partitions = 4;
-    options.match_workers = 2;
-    options.match_shadow_check = true;
-    if (GetParam() == ChaosWorkload::kCrashRecover) {
-      options.journal_path = ::testing::TempDir() +
-                             "matcher_diff_crash_" + std::to_string(t) +
-                             ".wal";
-      options.group_commit = true;
-      options.checkpoint_every = 8;
+  for (MatcherKind matcher : {MatcherKind::kTreat, MatcherKind::kNaive}) {
+    for (size_t t = 0; t < trials; ++t) {
+      ChaosOptions options;
+      options.workload = GetParam();
+      options.matcher = matcher;
+      options.seed = testing::ChaosSeedBase() + 7700 + t * 13;
+      options.fail_rate = 0.03;
+      options.client_sessions = 2;
+      options.txns_per_session = 6;
+      if (GetParam() == ChaosWorkload::kCrashRecover) {
+        options.journal_path = ::testing::TempDir() + "matcher_diff_crash_" +
+                               MatcherKindToString(matcher) + "_" +
+                               std::to_string(t) + ".wal";
+        options.group_commit = true;
+        options.checkpoint_every = 8;
+      }
+      ChaosReport report = ChaosRunner::RunTrial(options);
+      EXPECT_TRUE(report.verdict.ok())
+          << MatcherKindToString(matcher) << " seed " << options.seed << ": "
+          << report.ToString();
     }
-    ChaosReport report = ChaosRunner::RunTrial(options);
-    EXPECT_TRUE(report.verdict.ok())
-        << "seed " << options.seed << ": " << report.ToString();
   }
 }
 
@@ -195,24 +215,13 @@ INSTANTIATE_TEST_SUITE_P(
                       ChaosWorkload::kNetwork, ChaosWorkload::kCrashRecover,
                       ChaosWorkload::kZipfian, ChaosWorkload::kSnapshotScan,
                       ChaosWorkload::kMixedOltp),
-    [](const ::testing::TestParamInfo<ChaosWorkload>& info) {
-      switch (info.param) {
-        case ChaosWorkload::kRulesOnly: return std::string("RulesOnly");
-        case ChaosWorkload::kMultiUser: return std::string("MultiUser");
-        case ChaosWorkload::kNetwork: return std::string("Network");
-        case ChaosWorkload::kCrashRecover: return std::string("CrashRecover");
-        case ChaosWorkload::kZipfian: return std::string("Zipfian");
-        case ChaosWorkload::kSnapshotScan: return std::string("SnapshotScan");
-        case ChaosWorkload::kMixedOltp: return std::string("MixedOltp");
-      }
-      return std::string("Unknown");
-    });
+    FamilyName);
 
-// Every family again with the tentpole's skew-adaptation stack armed:
-// splitting + re-homing (aggressive triggers) + pipelining + the
-// adaptive batch limit, all under the per-batch shadow differential.
-// Fault injection, client sessions, crash recovery, and the offline
-// audit run exactly as in the base sweep.
+// Every family again on Rete with the self-tuning commit batch limit
+// armed, the one part of the skew-adaptation stack that remains (value-
+// hash splitting, rule re-homing and match pipelining are gone). Fault
+// injection, client sessions, crash recovery and the offline audit run
+// exactly as in the sweep above.
 class SkewAdaptiveChaosTest : public ::testing::TestWithParam<ChaosWorkload> {
 };
 
@@ -225,12 +234,6 @@ TEST_P(SkewAdaptiveChaosTest, ArmedAdaptationSurvivesFamily) {
     options.fail_rate = 0.03;
     options.client_sessions = 2;
     options.txns_per_session = 6;
-    options.match_partitions = 4;
-    options.match_workers = 2;
-    options.match_shadow_check = true;
-    options.match_split = true;
-    options.match_rehome = true;
-    options.match_pipeline = true;
     options.adaptive_batch_limit = true;
     if (GetParam() == ChaosWorkload::kCrashRecover) {
       options.journal_path = ::testing::TempDir() + "skew_adapt_crash_" +
@@ -250,18 +253,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ChaosWorkload::kNetwork, ChaosWorkload::kCrashRecover,
                       ChaosWorkload::kZipfian, ChaosWorkload::kSnapshotScan,
                       ChaosWorkload::kMixedOltp),
-    [](const ::testing::TestParamInfo<ChaosWorkload>& info) {
-      switch (info.param) {
-        case ChaosWorkload::kRulesOnly: return std::string("RulesOnly");
-        case ChaosWorkload::kMultiUser: return std::string("MultiUser");
-        case ChaosWorkload::kNetwork: return std::string("Network");
-        case ChaosWorkload::kCrashRecover: return std::string("CrashRecover");
-        case ChaosWorkload::kZipfian: return std::string("Zipfian");
-        case ChaosWorkload::kSnapshotScan: return std::string("SnapshotScan");
-        case ChaosWorkload::kMixedOltp: return std::string("MixedOltp");
-      }
-      return std::string("Unknown");
-    });
+    FamilyName);
 
 // Audit-evidence sampling end to end: with --audit-every semantics armed
 // (evidence on every 3rd line only) the run's journal still passes the
@@ -272,8 +264,6 @@ TEST(MatcherDifferentialChaosTest, SampledAuditEvidenceStaysClean) {
   options.workload = ChaosWorkload::kMultiUser;
   options.seed = testing::ChaosSeedBase() + 8801;
   options.fail_rate = 0.03;
-  options.match_partitions = 4;
-  options.match_shadow_check = true;
   options.audit_every = 3;
   ChaosReport report = ChaosRunner::RunTrial(options);
   EXPECT_TRUE(report.verdict.ok()) << report.ToString();
@@ -290,8 +280,6 @@ TEST(MatcherDifferentialChaosTest, FsyncDelayDeadlineFlushChaosTrial) {
   options.seed = testing::ChaosSeedBase() + 9902;
   options.fail_rate = 0.05;
   options.flush_deadline = std::chrono::milliseconds(1);
-  options.match_partitions = 4;
-  options.match_shadow_check = true;
   ChaosReport report = ChaosRunner::RunTrial(options);
   EXPECT_TRUE(report.verdict.ok()) << report.ToString();
   // The deadline flusher is allowed to be idle on a fast run, but the

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <thread>
 
 #include "engine/parallel_engine.h"
 #include "engine/single_thread_engine.h"
@@ -83,6 +85,33 @@ TEST_P(ParallelEngineTest, MaxFiringsRespected) {
   auto result = engine.Run().ValueOrDie();
   EXPECT_LE(result.stats.firings, 30u);
   EXPECT_TRUE(result.stats.hit_max_firings);
+}
+
+// Regression: claims still in flight count against max_firings. With
+// workers far outnumbering cores and eight independent tuples to fire
+// on, several claims race for the last slot on every run; the budget
+// must still come out exact, repetition after repetition.
+TEST_P(ParallelEngineTest, MaxFiringsExactUnderOversubscription) {
+  const size_t workers =
+      4 * std::max<size_t>(1, std::thread::hardware_concurrency());
+  for (int rep = 0; rep < 25; ++rep) {
+    WorkingMemory wm;
+    auto rules = LoadProgram(R"(
+(relation t (v int))
+(rule spin (t ^v <v>) --> (modify 1 ^v (+ <v> 1)))
+)",
+                             &wm)
+                     .ValueOrDie();
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(wm.Insert("t", {Value::Int(100 * i)}).ok());
+    }
+    ParallelEngineOptions options = Options(workers);
+    options.base.max_firings = 30;
+    ParallelEngine engine(&wm, rules, options);
+    auto result = engine.Run().ValueOrDie();
+    ASSERT_EQ(result.stats.firings, 30u) << "repetition " << rep;
+    EXPECT_TRUE(result.stats.hit_max_firings);
+  }
 }
 
 TEST_P(ParallelEngineTest, SharedCounterStaysExact) {

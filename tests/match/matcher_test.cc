@@ -403,6 +403,160 @@ TEST(Rete, TokensAreReclaimedOnRemoval) {
   EXPECT_EQ(matcher.GetStats().wmes, 0u);
 }
 
+// --- Hashed memories ------------------------------------------------------
+//
+// Each case drives a ReteMatcher and the naive oracle through the same
+// changes and requires identical conflict sets after every step; the
+// join-candidate counter shows which path (bucket or scan) a node took.
+
+class ReteIndexTest : public ::testing::Test {
+ protected:
+  void Load(const char* program) {
+    auto rules_or = LoadProgram(program, &wm_);
+    ASSERT_TRUE(rules_or.ok()) << rules_or.status();
+    rules_ = rules_or.ValueOrDie();
+    ASSERT_TRUE(rete_.Initialize(rules_, wm_).ok());
+    ASSERT_TRUE(naive_.Initialize(rules_, wm_).ok());
+  }
+
+  /// Applies `delta` to both matchers; returns the join candidates Rete
+  /// examined for it.
+  size_t Apply(const Delta& delta) {
+    const size_t before = rete_.GetStats().join_candidates;
+    auto change = wm_.Apply(delta);
+    EXPECT_TRUE(change.ok()) << change.status();
+    rete_.ApplyChange(change.ValueOrDie());
+    naive_.ApplyChange(change.ValueOrDie());
+    EXPECT_EQ(rete_.conflict_set().CanonicalDump(),
+              naive_.conflict_set().CanonicalDump())
+        << "after " << delta.ToString();
+    return rete_.GetStats().join_candidates - before;
+  }
+
+  WmeId Insert(const char* relation, std::vector<Value> values) {
+    Delta delta;
+    delta.Create(Sym(relation), std::move(values));
+    Apply(delta);
+    return wm_.next_id() - 1;
+  }
+
+  void Modify(WmeId id, size_t field, Value value) {
+    Delta delta;
+    delta.Modify(id, {{field, std::move(value)}});
+    Apply(delta);
+  }
+
+  /// Instantiations currently active in Rete.
+  size_t Active() const { return rete_.conflict_set().size(); }
+
+  WorkingMemory wm_;
+  RuleSetPtr rules_;
+  ReteMatcher rete_;
+  NaiveMatcher naive_;
+};
+
+// The match_skew shape: one relation self-joined on its key. An add visits
+// its key's bucket on both join inputs, not the whole memory.
+TEST_F(ReteIndexTest, SelfJoinVisitsOneBucket) {
+  Load(R"(
+(relation hot (k int) (v int))
+(rule pair (hot ^k <x> ^v <a>) (hot ^k <x> ^v <b>) --> (remove 1))
+)");
+  Delta preload;
+  for (int i = 0; i < 200; ++i) {
+    preload.Create(Sym("hot"), {Value::Int(i), Value::Int(i)});
+  }
+  Apply(preload);
+  EXPECT_EQ(Active(), 200u);  // each WME pairs with itself
+  Delta duplicate;
+  duplicate.Create(Sym("hot"), {Value::Int(7), Value::Int(-1)});
+  // First join (no test): 1. Keyed join: right activation sees the one
+  // earlier key-7 token, left activation the two key-7 WMEs.
+  EXPECT_EQ(Apply(duplicate), 4u);
+  EXPECT_EQ(Active(), 203u);  // + (new,new), (old,new), (new,old)
+}
+
+// A negated CE keyed on the join variable, blocked and unblocked by
+// modifies of the blocking WME.
+TEST_F(ReteIndexTest, NegationBlockedAndUnblockedByModifies) {
+  Load(R"(
+(relation goal (name symbol))
+(relation lock (name symbol))
+(rule go (goal ^name <g>) -(lock ^name <g>) --> (remove 1))
+(make goal ^name alpha)
+(make goal ^name beta)
+)");
+  EXPECT_EQ(Active(), 2u);
+  const WmeId lock = Insert("lock", {Value::Symbol("gamma")});
+  EXPECT_EQ(Active(), 2u);
+  Modify(lock, 0, Value::Symbol("alpha"));  // blocks alpha
+  ASSERT_EQ(Active(), 1u);
+  EXPECT_EQ(rete_.conflict_set().Snapshot()[0]->matched()[0]->value(0),
+            Value::Symbol("beta"));
+  Modify(lock, 0, Value::Symbol("beta"));  // unblocks alpha, blocks beta
+  ASSERT_EQ(Active(), 1u);
+  EXPECT_EQ(rete_.conflict_set().Snapshot()[0]->matched()[0]->value(0),
+            Value::Symbol("alpha"));
+  Delta unlock;
+  unlock.Delete(lock);
+  Apply(unlock);
+  EXPECT_EQ(Active(), 2u);
+  // A modify of the goal itself re-keys its negative-node token.
+  WmeId alpha = 0;
+  for (const WmePtr& wme : wm_.Scan(Sym("goal"))) {
+    if (wme->value(0) == Value::Symbol("alpha")) alpha = wme->id();
+  }
+  Insert("lock", {Value::Symbol("delta")});
+  Modify(alpha, 0, Value::Symbol("delta"));
+  EXPECT_EQ(Active(), 1u);
+}
+
+// Modifies move a WME between buckets on both sides of a keyed join, and
+// the tokens built on old versions are reclaimed.
+TEST_F(ReteIndexTest, ModifyMovesWmeBetweenBuckets) {
+  Load(R"(
+(relation order (id number))
+(relation stock (id number))
+(rule fill (order ^id <i>) (stock ^id <i>) --> (remove 1))
+)");
+  const size_t base_tokens = rete_.GetStats().tokens;
+  const WmeId order = Insert("order", {Value::Int(1)});
+  const WmeId stock = Insert("stock", {Value::Int(2)});
+  EXPECT_EQ(Active(), 0u);
+  Modify(stock, 0, Value::Int(1));  // stock joins order's bucket
+  EXPECT_EQ(Active(), 1u);
+  Modify(order, 0, Value::Float(2.0));  // order leaves for bucket 2
+  EXPECT_EQ(Active(), 0u);
+  Modify(stock, 0, Value::Int(2));  // 2 == 2.0: one bucket
+  EXPECT_EQ(Active(), 1u);
+  Delta clear;
+  clear.Delete(order);
+  clear.Delete(stock);
+  Apply(clear);
+  EXPECT_EQ(Active(), 0u);
+  EXPECT_EQ(rete_.GetStats().tokens, base_tokens);
+  EXPECT_EQ(rete_.GetStats().wmes, 0u);
+}
+
+// A join whose only test is <> has no equality to hash on: it scans, and
+// an add pays for the whole memory.
+TEST_F(ReteIndexTest, InequalityOnlyJoinScans) {
+  Load(R"(
+(relation item (v int))
+(rule differ (item ^v <a>) (item ^v { <> <a> }) --> (remove 1))
+)");
+  Delta preload;
+  for (int i = 0; i < 50; ++i) preload.Create(Sym("item"), {Value::Int(i)});
+  Apply(preload);
+  EXPECT_EQ(Active(), 50u * 49u);
+  Delta one;
+  one.Create(Sym("item"), {Value::Int(1000)});
+  // Right activation scans 50 left tokens, then the new token scans all
+  // 51 items, plus the first join's single dummy-token candidate.
+  EXPECT_EQ(Apply(one), 50u + 51u + 1u);
+  EXPECT_EQ(Active(), 51u * 50u);
+}
+
 TEST(Rete, ToDotRendersNetwork) {
   WorkingMemory wm;
   auto rules = LoadProgram(R"(

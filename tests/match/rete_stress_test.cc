@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "lang/compiler.h"
 #include "match/matcher.h"
@@ -249,6 +252,63 @@ TEST(ReteStress, ManyRulesShareStructure) {
   matcher.ApplyChange(change.ValueOrDie());
   // v=5 satisfies thresholds 0..4 -> 5 thresholds x 4 rules each = 20.
   EXPECT_EQ(matcher.conflict_set().size(), 20u);
+}
+
+// TSan stress: engine workers Claim/Contains/Snapshot the conflict set
+// while the committer propagates batches through Rete — the engine's
+// access pattern. Run under -fsanitize=thread to check for races; the
+// final agreement holds regardless.
+TEST(ReteStress, ConcurrentReadersDuringPropagation) {
+  WorkingMemory wm;
+  auto rules = LoadProgram(R"(
+(relation hot (id int) (v int))
+(relation cold (id int))
+(rule pair (hot ^id <i> ^v <v>) (cold ^id <i>) --> (remove 1))
+(rule spike (hot ^id <i> ^v { > 7 }) --> (remove 1))
+)",
+                           &wm)
+                   .ValueOrDie();
+  ReteMatcher matcher;
+  ASSERT_TRUE(matcher.Initialize(rules, wm).ok());
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Random rng(500 + r);
+      ConflictSet& cs = matcher.conflict_set();
+      while (!stop.load(std::memory_order_acquire)) {
+        InstPtr claimed = cs.Claim(ConflictResolution::kPriority, &rng);
+        if (claimed != nullptr) {
+          cs.Contains(claimed->key());
+          cs.Unclaim(claimed->key());
+        }
+        (void)cs.Snapshot();
+        (void)cs.size();
+      }
+    });
+  }
+  Random rng(41);
+  for (int batch = 0; batch < 80; ++batch) {
+    Delta delta;
+    delta.Create(Sym("hot"),
+                 {Value::Int(static_cast<int64_t>(rng.Uniform(12))),
+                  Value::Int(static_cast<int64_t>(rng.Uniform(10)))});
+    if (rng.Uniform(3) == 0) {
+      delta.Create(Sym("cold"),
+                   {Value::Int(static_cast<int64_t>(rng.Uniform(12)))});
+    }
+    auto change_or = wm.Apply(delta);
+    ASSERT_TRUE(change_or.ok());
+    matcher.ApplyChanges({std::move(change_or).ValueOrDie()});
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  auto naive = CreateMatcher(MatcherKind::kNaive);
+  ASSERT_TRUE(naive->Initialize(rules, wm).ok());
+  EXPECT_EQ(naive->conflict_set().CanonicalDump(),
+            matcher.conflict_set().CanonicalDump());
 }
 
 }  // namespace

@@ -89,24 +89,11 @@ struct ChaosOptions {
   /// Base failpoint probability (see ApplyChaosProfile).
   double fail_rate = 0.05;
   size_t num_workers = 4;
-  // Partitioned match phase (0/1 = the serial matcher):
-  size_t match_partitions = 0;
-  size_t match_workers = 2;
-  /// Run the serial shadow matcher alongside the partitioned one and
-  /// byte-compare conflict-set dumps after every batch — the differential
-  /// gate. Any divergence fails the engine run, which fails the trial.
-  bool match_shadow_check = false;
-  // Skew adaptation + pipelining (partitioned matcher only). The streak
-  // knobs below are deliberately aggressive so short chaos trials
-  // actually split and re-home mid-run.
-  bool match_split = false;
-  size_t match_split_ways = 3;
-  size_t match_split_streak = 2;
-  double match_split_share = 0.5;
-  bool match_rehome = false;
-  size_t match_rehome_streak = 6;
-  /// Propagate committed batches on the dedicated pipeline thread.
-  bool match_pipeline = false;
+  /// The engine's matcher. The replay validator always re-checks the log
+  /// with Rete, so a non-Rete trial is a matcher differential: every
+  /// firing the trial's matcher selected must be a Rete instantiation
+  /// with the identical delta.
+  MatcherKind matcher = MatcherKind::kRete;
   /// Self-tune the commit batch limit from observed saturation/stall.
   bool adaptive_batch_limit = false;
   /// Sample audit evidence onto every Nth journal line (1 = every line).

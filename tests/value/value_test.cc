@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "value/symbol_table.h"
 #include "value/value.h"
@@ -138,6 +140,48 @@ TEST(Value, EqualValuesHashEqual) {
   EXPECT_EQ(Value::Int(3).Hash(), Value::Float(3.0).Hash());
   EXPECT_EQ(Value::Symbol("h-x").Hash(), Value::Symbol("h-x").Hash());
   EXPECT_EQ(Value::String("s").Hash(), Value::String("s").Hash());
+}
+
+TEST(Value, EqualNumbersHashEqualBeyondDoublePrecision) {
+  // 2^53 + 1 rounds to 2^53 as a double, so the int equals the float.
+  const int64_t two53 = int64_t{1} << 53;
+  const Value big_int = Value::Int(two53 + 1);
+  const Value big_float = Value::Float(static_cast<double>(two53));
+  ASSERT_TRUE(big_int == big_float);
+  EXPECT_EQ(big_int.Hash(), big_float.Hash());
+  EXPECT_EQ(Value::Float(-0.0).Hash(), Value::Float(0.0).Hash());
+  EXPECT_EQ(Value::Float(-0.0).Hash(), Value::Int(0).Hash());
+}
+
+TEST(Value, EqualityImpliesBucketEqualityImpliesSameHash) {
+  const int64_t two53 = int64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> values = {
+      Value::Int(0), Value::Float(0.0), Value::Float(-0.0), Value::Int(3),
+      Value::Float(3.0), Value::Float(3.5), Value::Int(-7),
+      Value::Float(-7.0), Value::Int(two53), Value::Int(two53 + 1),
+      Value::Int(two53 + 2), Value::Float(static_cast<double>(two53)),
+      Value::Int(std::numeric_limits<int64_t>::max()),
+      Value::Float(9.3e18), Value::Float(1e300),
+      Value::Float(std::numeric_limits<double>::infinity()),
+      Value::Float(nan), Value::Float(-nan), Value::Nil(),
+      Value::Symbol("three"), Value::String("3")};
+  const ValueBucketEq bucket_eq;
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      if (a == b) {
+        EXPECT_TRUE(bucket_eq(a, b)) << a << " vs " << b;
+      }
+      if (bucket_eq(a, b)) {
+        EXPECT_EQ(a.Hash(), b.Hash()) << a << " vs " << b;
+      }
+    }
+  }
+  // Coarser than ==: the two ints differ, but share a double value.
+  EXPECT_FALSE(Value::Int(two53 + 1) == Value::Int(two53));
+  EXPECT_TRUE(bucket_eq(Value::Int(two53 + 1), Value::Int(two53)));
+  EXPECT_TRUE(bucket_eq(Value::Float(nan), Value::Float(-nan)));
+  EXPECT_FALSE(bucket_eq(Value::Int(3), Value::String("3")));
 }
 
 TEST(Value, HashSpreads) {

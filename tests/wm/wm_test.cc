@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "wm/working_memory.h"
 
 namespace dbps {
@@ -131,6 +135,41 @@ TEST_F(WorkingMemoryTest, IndexedLookupMatchesScan) {
   EXPECT_EQ(wm_.Lookup(Sym("box"), 1, Value::Symbol("a")).size(), 7u);
   EXPECT_EQ(wm_.Lookup(Sym("box"), 1, Value::Symbol("b")).size(), 13u);
   EXPECT_EQ(wm_.Lookup(Sym("box"), 1, Value::Symbol("c")).size(), 0u);
+}
+
+// == is not transitive across numbers beyond double precision: Int(2^53+1)
+// equals Float(2^53), which equals Int(2^53), but the two ints differ. The
+// index must still return exactly what a scan returns for every probe.
+TEST_F(WorkingMemoryTest, IndexedLookupEqualsScanAcrossNumericTypes) {
+  WorkingMemory scanned;
+  ASSERT_TRUE(scanned.CreateRelation("robot", {{"name", AttrType::kSymbol},
+                                               {"holding", AttrType::kAny}})
+                  .ok());
+  ASSERT_TRUE(wm_.CreateIndex(Sym("robot"), Sym("holding")).ok());
+  const int64_t two53 = int64_t{1} << 53;
+  const std::vector<Value> values = {
+      Value::Int(two53),      Value::Int(two53 + 1),
+      Value::Int(two53 + 2),  Value::Float(static_cast<double>(two53)),
+      Value::Int(0),          Value::Float(-0.0),
+      Value::Float(0.5),      Value::Int(7),
+      Value::Float(7.0),      Value::Symbol("seven"),
+      Value::Float(std::numeric_limits<double>::quiet_NaN())};
+  for (const Value& v : values) {
+    ASSERT_TRUE(wm_.Insert("robot", {Value::Symbol("r"), v}).ok());
+    ASSERT_TRUE(scanned.Insert("robot", {Value::Symbol("r"), v}).ok());
+  }
+  auto ids = [](const std::vector<WmePtr>& wmes) {
+    std::vector<WmeId> out;
+    for (const WmePtr& wme : wmes) out.push_back(wme->id());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (const Value& probe : values) {
+    const auto expected = ids(scanned.Lookup(Sym("robot"), 1, probe));
+    EXPECT_EQ(ids(wm_.Lookup(Sym("robot"), 1, probe)), expected) << probe;
+  }
+  // The case that used to miss: an int probe equal to a float member.
+  EXPECT_EQ(wm_.Lookup(Sym("robot"), 1, Value::Int(two53 + 1)).size(), 2u);
 }
 
 TEST_F(WorkingMemoryTest, IndexCreatedAfterInsertsBackfills) {
