@@ -108,7 +108,8 @@ StatusOr<std::vector<LockRequest>> DeltaActionLocks(const WorkingMemory& wm,
 
 std::vector<LockRequest> ActionLocks(const Instantiation& inst, TxnId txn) {
   const Rule& rule = *inst.rule();
-  std::set<size_t> wa_ces;    // positive CEs whose tuple gets Wa
+  // Positive CEs whose tuple gets Wa (sorted).
+  const std::vector<size_t>& wa_ces = rule.written_ces();
   std::set<size_t> read_ces;  // positive CEs read by RHS expressions
   std::vector<LockRequest> requests;
 
@@ -120,13 +121,10 @@ std::vector<LockRequest> ActionLocks(const Instantiation& inst, TxnId txn) {
         CollectBindingCes(expr, &read_ces);
       }
     } else if (const auto* modify = std::get_if<ModifyAction>(&action)) {
-      wa_ces.insert(modify->ce);
       for (const auto& [field, expr] : modify->assigns) {
         (void)field;
         CollectBindingCes(expr, &read_ces);
       }
-    } else if (const auto* remove = std::get_if<RemoveAction>(&action)) {
-      wa_ces.insert(remove->ce);
     }
   }
 
@@ -136,7 +134,8 @@ std::vector<LockRequest> ActionLocks(const Instantiation& inst, TxnId txn) {
                                    LockMode::kWa});
   }
   for (size_t ce : read_ces) {
-    if (wa_ces.count(ce) != 0) continue;  // Wa subsumes the action read
+    // Wa subsumes the action read.
+    if (std::binary_search(wa_ces.begin(), wa_ces.end(), ce)) continue;
     const WmePtr& wme = inst.matched()[ce];
     requests.push_back(LockRequest{LockObjectId{wme->relation(), wme->id()},
                                    LockMode::kRa});

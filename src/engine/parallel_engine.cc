@@ -138,7 +138,12 @@ void ParallelEngine::ExecuteBatch(const std::vector<PendingCommit*>& batch) {
       DBPS_DCHECK(false);
       continue;
     }
-    if (!member->is_client) matcher_->conflict_set().MarkFired(*member->key);
+    // The fired instantiation leaves the conflict set at the commit head,
+    // before propagation (the order ValidateReplay replays): a commit in
+    // this batch may re-activate the same key (a negated CE blocked, then
+    // unblocked), and that activation must survive. The claim itself
+    // stays in flight until the worker released its locks.
+    if (!member->is_client) matcher_->conflict_set().Deactivate(*member->key);
     changes.push_back(std::move(change_or).ValueOrDie());
     live.push_back(member);
   }
@@ -418,17 +423,24 @@ int ParallelEngine::FinishAborted(TxnId txn, const InstKey& key,
     options_.base.observer(
         EngineEvent{EngineEvent::Kind::kAbort, &key});
   }
-  lock_manager_->Release(txn);
-  matcher_->conflict_set().Unclaim(key);
   int streak;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    txn_keys_.erase(txn);
     ++stats_.aborts;
     if (deadlock) ++stats_.deadlocks;
     streak = ++abort_streaks_[key];
     stats_.max_abort_streak =
         std::max(stats_.max_abort_streak, static_cast<uint64_t>(streak));
+  }
+  lock_manager_->Release(txn);
+  // Only now may another worker claim the instantiation again, and its
+  // next attempt must see the streak counted above: counted after the
+  // Unclaim, a retry could start unescalated one abort past the
+  // escalation threshold.
+  matcher_->conflict_set().Unclaim(key);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    txn_keys_.erase(txn);
     --in_flight_;
   }
   cv_.notify_all();
@@ -603,6 +615,16 @@ int ParallelEngine::ProcessFiring(const InstPtr& inst, Random* rng) {
       guard.Dismiss();
       return FinishAborted(txn, key, /*deadlock=*/false);
     }
+    guard.Dismiss();
+    lock_manager_->Release(txn);
+    // Test site: stall between the release and the end of the claim
+    // (sleep-safe: no lock held), so later commits land in between.
+    (void)DBPS_FAILPOINT("engine.firing.release_window");
+    // The claim ends only once the locks are gone: until then its
+    // footprint keeps other workers off the tuples this firing holds.
+    // The commit head already removed the fired entry; an entry active
+    // under `key` now is a genuine re-activation and becomes selectable.
+    matcher_->conflict_set().Unclaim(key);
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.firings;
@@ -613,9 +635,7 @@ int ParallelEngine::ProcessFiring(const InstPtr& inst, Random* rng) {
       txn_keys_.erase(txn);
       abort_streaks_.erase(key);
       --in_flight_;
-      guard.Dismiss();
     }
-    lock_manager_->Release(txn);
     cv_.notify_all();
   }
   return 0;

@@ -1,7 +1,12 @@
 // ParallelEngine: the multiple-execution-thread mechanism (§4.2 / §4.3).
 //
 // Np worker threads each repeatedly claim an active instantiation and run
-// it as a transaction against the centralized lock manager:
+// it as a transaction against the centralized lock manager. A claim takes
+// the dominant instantiation that no in-flight firing dooms — one that
+// reads none of the tuples an in-flight firing writes and writes none it
+// reads (ConflictSet::Claim); with none left, the worker sleeps until a
+// firing finishes. The claim ends only after the firing released its
+// locks, so its footprint covers them.
 //
 //   1. acquire Rc locks on the matched tuples (+ escalated relation-level
 //      Rc for each negated condition element)                [Figure 4.2]

@@ -632,25 +632,36 @@ Status LockManager::Acquire(TxnId txn, LockObjectId object, LockMode mode) {
         // Wound every younger conflicting holder, then wait: waits only
         // ever target older transactions, so no cycle can form. Marking
         // fences every shard, so it must happen with this shard's mutex
-        // dropped — wound, then re-enter the loop to recompute conflicts.
-        std::vector<TxnId> prey;
+        // dropped. Holders already wounded are not prey: they will
+        // release on their own, and skipping them keeps the mutex held
+        // from the conflict check to the wait below.
+        std::vector<std::pair<TxnId, TxnPtr>> prey;
         for (TxnId holder : conflicts) {
-          if (holder > txn) prey.push_back(holder);
+          if (holder <= txn) continue;
+          TxnPtr holder_state = FindTxn(holder);
+          if (holder_state != nullptr &&
+              !holder_state->aborted.load(std::memory_order_acquire)) {
+            prey.emplace_back(holder, std::move(holder_state));
+          }
         }
-        bool wounded_any = false;
         if (!prey.empty()) {
           shard_lock.unlock();
-          for (TxnId holder : prey) {
-            TxnPtr holder_state = FindTxn(holder);
-            if (holder_state != nullptr &&
-                !holder_state->aborted.load(std::memory_order_acquire)) {
-              wounds_.fetch_add(1, std::memory_order_relaxed);
-              MarkAbortedTxn(holder, holder_state, &events);
-              wounded_any = true;
+          for (const auto& [holder, holder_state] : prey) {
+            if (holder_state->aborted.load(std::memory_order_acquire)) {
+              continue;
             }
+            wounds_.fetch_add(1, std::memory_order_relaxed);
+            MarkAbortedTxn(holder, holder_state, &events);
           }
           shard_lock.lock();
-          if (wounded_any) continue;  // holders will release; recompute
+          // The mutex was dropped: conflicts may have cleared, and this
+          // transaction may have been wounded, with the wake-ups already
+          // sent. Recompute before waiting.
+          if (state->aborted.load(std::memory_order_acquire)) {
+            return Status::Aborted("transaction aborted while waiting for " +
+                                   object.ToString());
+          }
+          continue;
         }
         break;
       }
@@ -662,6 +673,13 @@ Status LockManager::Acquire(TxnId txn, LockObjectId object, LockMode mode) {
                                   " would close a waits-for cycle");
         }
         break;
+    }
+    // Checked under the shard mutex, so a MarkAborted after this point
+    // fences this shard only once the wait below has released it — its
+    // wake-up cannot be lost. (The entry check ran before the mutex.)
+    if (state->aborted.load(std::memory_order_acquire)) {
+      return Status::Aborted("transaction aborted while waiting for " +
+                             object.ToString());
     }
     if (!waited) {
       waited = true;
@@ -683,6 +701,7 @@ Status LockManager::Acquire(TxnId txn, LockObjectId object, LockMode mode) {
                              object.ToString());
     }
     if (wait_result == std::cv_status::timeout) {
+      expired_waits_.fetch_add(1, std::memory_order_relaxed);
       if (!FindConflicts(shard, txn, requester_blocking, object, mode)
                .empty()) {
         timeouts_.fetch_add(1, std::memory_order_relaxed);
@@ -999,6 +1018,7 @@ LockManager::Stats LockManager::GetStats() const {
   stats.deadlocks = deadlocks_.load(std::memory_order_relaxed);
   stats.wounds = wounds_.load(std::memory_order_relaxed);
   stats.timeouts = timeouts_.load(std::memory_order_relaxed);
+  stats.expired_waits = expired_waits_.load(std::memory_order_relaxed);
   stats.aborts_marked = aborts_marked_.load(std::memory_order_relaxed);
   stats.unknown_releases = unknown_releases_.load(std::memory_order_relaxed);
   stats.blocking_txns = blocking_txns_.load(std::memory_order_relaxed);

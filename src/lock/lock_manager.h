@@ -179,6 +179,11 @@ class LockManager {
     uint64_t deadlocks = 0;  // kDetect cycles + kNoWait refusals
     uint64_t wounds = 0;     // kWoundWait victims
     uint64_t timeouts = 0;
+    /// Waits that reached wait_timeout, whether or not the conflict had
+    /// cleared by then. Every conflict clears with a wake-up (Release,
+    /// MarkAborted), so outside a real timeout this stays 0; a nonzero
+    /// count with no matching `timeouts` is a lost wake-up.
+    uint64_t expired_waits = 0;
     uint64_t aborts_marked = 0;
     /// Release calls naming an unknown (never begun or already released)
     /// transaction — tolerated as no-ops but counted, since a nonzero
@@ -505,6 +510,7 @@ class LockManager {
   std::atomic<uint64_t> deadlocks_{0};
   std::atomic<uint64_t> wounds_{0};
   std::atomic<uint64_t> timeouts_{0};
+  std::atomic<uint64_t> expired_waits_{0};
   std::atomic<uint64_t> aborts_marked_{0};
   std::atomic<uint64_t> unknown_releases_{0};
   std::atomic<uint64_t> blocking_txns_{0};

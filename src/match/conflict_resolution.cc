@@ -24,26 +24,6 @@ const char* ConflictResolutionToString(ConflictResolution strategy) {
 
 namespace {
 
-/// Time tags of the matched WMEs, sorted descending (LEX's recency key).
-std::vector<TimeTag> SortedTagsDesc(const Instantiation& inst) {
-  std::vector<TimeTag> tags;
-  tags.reserve(inst.matched().size());
-  for (const auto& wme : inst.matched()) tags.push_back(wme->tag());
-  std::sort(tags.begin(), tags.end(), std::greater<TimeTag>());
-  return tags;
-}
-
-/// Specificity: total number of tests in the rule's LHS.
-size_t Specificity(const Rule& rule) {
-  size_t n = 0;
-  for (const auto& cond : rule.conditions()) {
-    n += cond.constant_tests.size() + cond.member_tests.size() +
-         cond.intra_tests.size() + cond.join_tests.size() +
-         1;  // +1 for the relation test itself
-  }
-  return n;
-}
-
 /// -1 / 0 / +1 lexicographic comparison of descending tag lists.
 int CompareTagsDesc(const std::vector<TimeTag>& a,
                     const std::vector<TimeTag>& b) {
@@ -55,81 +35,68 @@ int CompareTagsDesc(const std::vector<TimeTag>& a,
   return 0;
 }
 
+/// LEX: recency of the sorted time tags, then specificity, then the key
+/// text (lower wins) as the deterministic final tie-break. The key texts
+/// are built only when everything before them ties.
 int LexCompare(const Instantiation& a, const Instantiation& b) {
-  int recency = CompareTagsDesc(SortedTagsDesc(a), SortedTagsDesc(b));
+  int recency = CompareTagsDesc(a.recency_tags(), b.recency_tags());
   if (recency != 0) return recency;
-  size_t spec_a = Specificity(*a.rule());
-  size_t spec_b = Specificity(*b.rule());
+  size_t spec_a = a.rule()->specificity();
+  size_t spec_b = b.rule()->specificity();
   if (spec_a != spec_b) return spec_a > spec_b ? 1 : -1;
-  // Deterministic final tie-break on the key.
   std::string key_a = a.key().ToString();
   std::string key_b = b.key().ToString();
   if (key_a != key_b) return key_a < key_b ? 1 : -1;
   return 0;
 }
 
-int MeaCompare(const Instantiation& a, const Instantiation& b) {
-  // MEA: the time tag of the WME matching the *first* CE dominates.
-  TimeTag first_a = a.matched().empty() ? 0 : a.matched()[0]->tag();
-  TimeTag first_b = b.matched().empty() ? 0 : b.matched()[0]->tag();
-  if (first_a != first_b) return first_a > first_b ? 1 : -1;
-  return LexCompare(a, b);
+/// MEA: the time tag of the WME matching the *first* CE dominates.
+TimeTag FirstTag(const Instantiation& inst) {
+  return inst.matched().empty() ? 0 : inst.matched()[0]->tag();
 }
 
 }  // namespace
 
-bool LexDominates(const Instantiation& a, const Instantiation& b) {
-  return LexCompare(a, b) > 0;
-}
-
-bool MeaDominates(const Instantiation& a, const Instantiation& b) {
-  return MeaCompare(a, b) > 0;
+int CompareDominance(ConflictResolution strategy, const Candidate& a,
+                     const Candidate& b) {
+  const Instantiation& ia = **a.inst;
+  const Instantiation& ib = **b.inst;
+  switch (strategy) {
+    case ConflictResolution::kFifo:
+      if (a.activation_seq == b.activation_seq) return 0;
+      return a.activation_seq < b.activation_seq ? 1 : -1;
+    case ConflictResolution::kMea: {
+      TimeTag first_a = FirstTag(ia);
+      TimeTag first_b = FirstTag(ib);
+      if (first_a != first_b) return first_a > first_b ? 1 : -1;
+      break;
+    }
+    case ConflictResolution::kPriority: {
+      int prio_a = ia.rule()->priority();
+      int prio_b = ib.rule()->priority();
+      if (prio_a != prio_b) return prio_a > prio_b ? 1 : -1;
+      break;
+    }
+    case ConflictResolution::kLex:
+      break;
+    case ConflictResolution::kRandom:
+      DBPS_CHECK(false) << "kRandom has no dominance order";
+  }
+  return LexCompare(ia, ib);
 }
 
 const InstPtr* SelectDominant(const std::vector<Candidate>& candidates,
                               ConflictResolution strategy, Random* rng) {
   if (candidates.empty()) return nullptr;
-  switch (strategy) {
-    case ConflictResolution::kRandom: {
-      DBPS_CHECK(rng != nullptr);
-      return candidates[rng->Uniform(candidates.size())].inst;
-    }
-    case ConflictResolution::kFifo: {
-      const Candidate* best = &candidates[0];
-      for (const auto& c : candidates) {
-        if (c.activation_seq < best->activation_seq) best = &c;
-      }
-      return best->inst;
-    }
-    case ConflictResolution::kLex: {
-      const Candidate* best = &candidates[0];
-      for (const auto& c : candidates) {
-        if (LexCompare(**c.inst, **best->inst) > 0) best = &c;
-      }
-      return best->inst;
-    }
-    case ConflictResolution::kMea: {
-      const Candidate* best = &candidates[0];
-      for (const auto& c : candidates) {
-        if (MeaCompare(**c.inst, **best->inst) > 0) best = &c;
-      }
-      return best->inst;
-    }
-    case ConflictResolution::kPriority: {
-      const Candidate* best = &candidates[0];
-      for (const auto& c : candidates) {
-        int prio_c = (*c.inst)->rule()->priority();
-        int prio_best = (*best->inst)->rule()->priority();
-        if (prio_c > prio_best ||
-            (prio_c == prio_best &&
-             LexCompare(**c.inst, **best->inst) > 0)) {
-          best = &c;
-        }
-      }
-      return best->inst;
-    }
+  if (strategy == ConflictResolution::kRandom) {
+    DBPS_CHECK(rng != nullptr);
+    return candidates[rng->Uniform(candidates.size())].inst;
   }
-  return nullptr;
+  const Candidate* best = &candidates[0];
+  for (const auto& c : candidates) {
+    if (CompareDominance(strategy, c, *best) > 0) best = &c;
+  }
+  return best->inst;
 }
 
 }  // namespace dbps

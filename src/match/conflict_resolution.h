@@ -33,18 +33,19 @@ struct Candidate {
   uint64_t activation_seq;
 };
 
+/// \brief -1 / 0 / +1: whether `a` is dominated by, ties with, or
+/// dominates `b` under `strategy`. Every strategy but kRandom (which has
+/// no order; CHECK-fails) is a total order on distinct keys: 0 only for
+/// the same key. The one comparison both SelectDominant and the conflict
+/// set's ordered index use.
+int CompareDominance(ConflictResolution strategy, const Candidate& a,
+                     const Candidate& b);
+
 /// \brief Picks the dominant instantiation among `candidates` under
 /// `strategy`. Returns nullptr iff candidates is empty. `rng` is only
 /// consulted for kRandom.
 const InstPtr* SelectDominant(const std::vector<Candidate>& candidates,
                               ConflictResolution strategy, Random* rng);
-
-/// \brief Total order used by kLex (exposed for tests): true if `a`
-/// dominates `b`.
-bool LexDominates(const Instantiation& a, const Instantiation& b);
-
-/// \brief Total order used by kMea.
-bool MeaDominates(const Instantiation& a, const Instantiation& b);
 
 }  // namespace dbps
 

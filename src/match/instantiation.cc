@@ -1,6 +1,7 @@
 #include "match/instantiation.h"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 
 #include "util/logging.h"
@@ -8,16 +9,18 @@
 namespace dbps {
 
 std::string InstKey::ToString() const {
-  std::ostringstream out;
-  out << rule_name << "[";
+  std::string out = rule_name;
+  out += '[';
   bool first = true;
   for (const auto& [id, tag] : wmes) {
-    if (!first) out << ",";
+    if (!first) out += ',';
     first = false;
-    out << id << "@" << tag;
+    out += std::to_string(id);
+    out += '@';
+    out += std::to_string(tag);
   }
-  out << "]";
-  return out.str();
+  out += ']';
+  return out;
 }
 
 Instantiation::Instantiation(RulePtr rule, std::vector<WmePtr> matched)
@@ -25,15 +28,13 @@ Instantiation::Instantiation(RulePtr rule, std::vector<WmePtr> matched)
   DBPS_CHECK_EQ(matched_.size(), rule_->num_positive());
   key_.rule_name = rule_->name();
   key_.wmes.reserve(matched_.size());
+  recency_tags_.reserve(matched_.size());
   for (const auto& wme : matched_) {
     key_.wmes.emplace_back(wme->id(), wme->tag());
+    recency_tags_.push_back(wme->tag());
   }
-}
-
-TimeTag Instantiation::RecencyTag() const {
-  TimeTag best = 0;
-  for (const auto& wme : matched_) best = std::max(best, wme->tag());
-  return best;
+  std::sort(recency_tags_.begin(), recency_tags_.end(),
+            std::greater<TimeTag>());
 }
 
 std::string Instantiation::ToString() const {

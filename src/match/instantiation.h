@@ -47,8 +47,14 @@ class Instantiation {
   const std::vector<WmePtr>& matched() const { return matched_; }
   const InstKey& key() const { return key_; }
 
+  /// Time tags of the matched WMEs, sorted descending: LEX's recency
+  /// key, computed once here so conflict resolution never re-sorts.
+  const std::vector<TimeTag>& recency_tags() const { return recency_tags_; }
+
   /// Largest time tag among matched WMEs (recency, for LEX/MEA).
-  TimeTag RecencyTag() const;
+  TimeTag RecencyTag() const {
+    return recency_tags_.empty() ? 0 : recency_tags_.front();
+  }
 
   std::string ToString() const;
 
@@ -56,6 +62,7 @@ class Instantiation {
   RulePtr rule_;
   std::vector<WmePtr> matched_;
   InstKey key_;
+  std::vector<TimeTag> recency_tags_;
 };
 
 using InstPtr = std::shared_ptr<const Instantiation>;

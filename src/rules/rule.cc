@@ -1,5 +1,6 @@
 #include "rules/rule.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/logging.h"
@@ -53,6 +54,22 @@ Rule::Rule(std::string name, std::vector<Condition> conditions,
   num_positive_ = positive_to_condition_.size();
   DBPS_CHECK_GT(num_positive_, 0u)
       << "rule '" << name_ << "' has no positive condition element";
+  specificity_ = 0;
+  for (const Condition& cond : conditions_) {
+    specificity_ += cond.constant_tests.size() + cond.member_tests.size() +
+                    cond.intra_tests.size() + cond.join_tests.size() +
+                    1;  // +1 for the relation test itself
+  }
+  for (const Action& action : actions_) {
+    if (const auto* modify = std::get_if<ModifyAction>(&action)) {
+      written_ces_.push_back(modify->ce);
+    } else if (const auto* remove = std::get_if<RemoveAction>(&action)) {
+      written_ces_.push_back(remove->ce);
+    }
+  }
+  std::sort(written_ces_.begin(), written_ces_.end());
+  written_ces_.erase(std::unique(written_ces_.begin(), written_ces_.end()),
+                     written_ces_.end());
 }
 
 namespace {

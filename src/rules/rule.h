@@ -161,6 +161,14 @@ class Rule {
     return positive_to_condition_[positive_ce];
   }
 
+  /// LEX/MEA specificity: the number of tests in the LHS, counting each
+  /// condition element's relation test.
+  size_t specificity() const { return specificity_; }
+
+  /// Positive CEs whose matched tuple the RHS modifies or removes,
+  /// ascending and deduplicated.
+  const std::vector<size_t>& written_ces() const { return written_ces_; }
+
   /// Conflict-resolution priority (higher fires first under kPriority).
   int priority() const { return priority_; }
   void set_priority(int priority) { priority_ = priority; }
@@ -178,6 +186,8 @@ class Rule {
   std::vector<Action> actions_;
   std::vector<size_t> positive_to_condition_;
   size_t num_positive_;
+  size_t specificity_;
+  std::vector<size_t> written_ces_;
   int priority_ = 0;
   int64_t cost_us_ = 0;
 };

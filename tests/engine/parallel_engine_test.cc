@@ -9,6 +9,7 @@
 #include "lang/compiler.h"
 #include "semantics/replay_validator.h"
 #include "testing/workloads.h"
+#include "util/failpoint.h"
 
 namespace dbps {
 namespace {
@@ -191,7 +192,175 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// --- interference-aware claims --------------------------------------------
+
+// The §5 jobs program: every job is a chain of `steps` firings on its own
+// tuple; "shared" jobs also bump one hub tuple on every firing.
+std::string JobsProgram(int64_t cost_us) {
+  const std::string cost = std::to_string(cost_us);
+  return R"((relation job (id int) (kind symbol) (steps int))
+(relation hub (v int))
+(rule work-local :cost )" +
+         cost + R"(
+  (job ^kind local ^steps { > 0 } ^steps <s>)
+  -->
+  (modify 1 ^steps (- <s> 1)))
+(rule work-shared :cost )" +
+         cost + R"(
+  (job ^kind shared ^steps { > 0 } ^steps <s>)
+  (hub ^v <h>)
+  -->
+  (modify 1 ^steps (- <s> 1))
+  (modify 2 ^v (+ <h> 1)))
+(make hub ^v 0)
+)";
+}
+
+struct JobsCase {
+  int64_t cost_us;
+  size_t workers_per_core;  ///< 0: exactly 4 workers
+  int shared_every;         ///< every Nth job shares the hub
+};
+
+class InterferenceAwareClaimTest : public ::testing::TestWithParam<JobsCase> {
+};
+
+// Claims never pick a firing that an in-flight firing dooms, so on this
+// program — tuple-level conflicts only — no firing is ever a victim and
+// no lock request ever waits, at any worker count and any action length.
+// Both are counts, not timings: they hold on every schedule.
+TEST_P(InterferenceAwareClaimTest, NoAbortsNoBlocksExactFirings) {
+  const JobsCase param = GetParam();
+  constexpr int kJobs = 16;
+  constexpr int kSteps = 12;
+  const size_t workers =
+      param.workers_per_core == 0
+          ? 4
+          : param.workers_per_core *
+                std::max<size_t>(1, std::thread::hardware_concurrency());
+  for (LockProtocol protocol :
+       {LockProtocol::kRcRaWa, LockProtocol::kTwoPhase}) {
+    WorkingMemory wm;
+    auto rules = LoadProgram(JobsProgram(param.cost_us), &wm).ValueOrDie();
+    int shared = 0;
+    for (int j = 0; j < kJobs; ++j) {
+      const bool is_shared = j % param.shared_every == 0;
+      shared += is_shared;
+      ASSERT_TRUE(wm.Insert("job", {Value::Int(j),
+                                    Value::Symbol(is_shared ? "shared"
+                                                            : "local"),
+                                    Value::Int(kSteps)})
+                      .ok());
+    }
+    auto pristine = wm.Clone();
+    ParallelEngineOptions options;
+    options.num_workers = workers;
+    options.protocol = protocol;
+    options.base.cost_model = CostModel::kBusySpin;
+    ParallelEngine engine(&wm, rules, options);
+    auto result = engine.Run().ValueOrDie();
+    const std::string where = std::string(LockProtocolToString(protocol)) +
+                              " workers=" + std::to_string(workers);
+    EXPECT_EQ(result.stats.firings, static_cast<uint64_t>(kJobs * kSteps))
+        << where;
+    EXPECT_FALSE(result.stats.hit_max_firings) << where;
+    EXPECT_EQ(result.stats.aborts, 0u) << where;
+    EXPECT_EQ(result.stats.stale_skips, 0u) << where;
+    EXPECT_EQ(engine.lock_stats().blocked, 0u) << where;
+    ASSERT_EQ(wm.Scan(Sym("hub")).size(), 1u);
+    EXPECT_EQ(wm.Scan(Sym("hub"))[0]->value(0),
+              Value::Int(static_cast<int64_t>(shared) * kSteps))
+        << where;
+    Status valid = ValidateReplay(pristine.get(), rules, result.log);
+    EXPECT_TRUE(valid.ok()) << where << ": " << valid;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    JobsAndHub, InterferenceAwareClaimTest,
+    ::testing::Values(
+        // A quarter of the jobs share the hub (the §5 operating point).
+        JobsCase{0, 0, 4}, JobsCase{0, 4, 4}, JobsCase{20, 0, 4},
+        JobsCase{20, 4, 4},
+        // Every job shares the hub: each claim skips all but one
+        // candidate, so firings run one at a time — and must still all
+        // run, with the waiting workers woken as each one finishes.
+        JobsCase{0, 4, 1}, JobsCase{20, 4, 1}),
+    [](const auto& info) {
+      return "cost" + std::to_string(info.param.cost_us) +
+             (info.param.workers_per_core == 0
+                  ? std::string("_Np4")
+                  : "_Np" + std::to_string(info.param.workers_per_core) +
+                        "xCores") +
+             (info.param.shared_every == 1 ? "_AllShareHub"
+                                           : "_QuarterShareHub");
+    });
+
 // --- targeted interference scenarios ------------------------------------
+
+// A make-if-absent rule blocks itself when it commits, and a consumer that
+// removes what it made re-activates the very same instantiation key (same
+// trigger WME, same tag). That re-activation can land while the first
+// firing's claim is still in flight — the release window below holds every
+// worker there after its commit — and must survive as a new firing. Any
+// serial run ends with every trigger's x present and the budget spent, so
+// it fires make-x budget + triggers times and eat-x budget times: a lost
+// re-activation shows up as a run that quiesces short of that count.
+TEST(ParallelEngineScenarios, ReactivationDuringReleaseWindowStillFires) {
+  constexpr int kTriggers = 3;
+  constexpr int kBudget = 20;
+  struct DisableFailpoints {
+    ~DisableFailpoints() { FailpointRegistry::Instance().DisableAll(); }
+  } disable;
+  for (LockProtocol protocol :
+       {LockProtocol::kRcRaWa, LockProtocol::kTwoPhase}) {
+    FailpointRegistry::Instance().DisableAll();
+    FailpointSpec window;
+    window.probability = 1.0;
+    window.delay = std::chrono::microseconds(2000);
+    FailpointRegistry::Instance().Configure("engine.firing.release_window",
+                                            window);
+    WorkingMemory wm;
+    auto rules = LoadProgram(R"(
+(relation trigger (id int))
+(relation x (id int))
+(relation budget (left int))
+(rule make-x
+  (trigger ^id <i>)
+  -(x ^id <i>)
+  -->
+  (make x ^id <i>))
+(rule eat-x
+  (x ^id <i>)
+  (budget ^left { > 0 } ^left <b>)
+  -->
+  (remove 1)
+  (modify 2 ^left (- <b> 1)))
+)",
+                             &wm)
+                     .ValueOrDie();
+    for (int i = 0; i < kTriggers; ++i) {
+      ASSERT_TRUE(wm.Insert("trigger", {Value::Int(i)}).ok());
+    }
+    ASSERT_TRUE(wm.Insert("budget", {Value::Int(kBudget)}).ok());
+    auto pristine = wm.Clone();
+    ParallelEngineOptions options;
+    options.num_workers = 4;
+    options.protocol = protocol;
+    ParallelEngine engine(&wm, rules, options);
+    auto result = engine.Run().ValueOrDie();
+    const std::string where = LockProtocolToString(protocol);
+    EXPECT_EQ(result.stats.firings,
+              static_cast<uint64_t>(2 * kBudget + kTriggers))
+        << where;
+    EXPECT_FALSE(result.stats.hit_max_firings) << where;
+    EXPECT_EQ(wm.Count(Sym("x")), static_cast<size_t>(kTriggers)) << where;
+    ASSERT_EQ(wm.Scan(Sym("budget")).size(), 1u);
+    EXPECT_EQ(wm.Scan(Sym("budget"))[0]->value(0), Value::Int(0)) << where;
+    Status valid = ValidateReplay(pristine.get(), rules, result.log);
+    EXPECT_TRUE(valid.ok()) << where << ": " << valid;
+  }
+}
 
 // Figure 4.4: two productions in circular Rc/Wa conflict — each reads
 // what the other writes. Exactly one of the two can commit from any

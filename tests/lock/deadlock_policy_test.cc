@@ -340,6 +340,10 @@ TEST_P(MixedDeadlockTest, ClientsAndFiringsResolveCrossBoundaryCycles) {
   EXPECT_EQ(wm.Count(Sym("req")), 0u);
   EXPECT_EQ(wm.Count(Sym("ack")), expected);
   EXPECT_EQ(engine.live_lock_transactions(), 0u);
+  // No waiter sat out its whole lock_timeout: every conflict clears with
+  // a wake-up, so a wait that reaches its deadline is a lost wake-up.
+  EXPECT_EQ(engine.lock_stats().expired_waits, 0u);
+  EXPECT_EQ(engine.lock_stats().timeouts, 0u);
 
   // And the interleaved log is still a valid single-thread execution.
   Status replay = ValidateReplay(pristine.get(), rules, result.log);

@@ -230,16 +230,26 @@ TEST(NetServerTest, NetworkWriteActivatesRules) {
   ASSERT_TRUE(client->WriteLine("(delta (make inbox 42))").ok());
   ASSERT_TRUE(client->Commit().ok());
   // The serve rule consumes inbox and produces done; poll through the
-  // same wire protocol until it lands.
+  // same wire protocol until it lands. The poll's repeatable read holds a
+  // relation-level Rc on `done`, so the serve rule's commit may victimize
+  // it (the §4.3 Rc–Wa rule): an Aborted read or commit is the transient
+  // failure any client retries, not a test failure.
   std::vector<std::string> done;
+  int victimized = 0;
   for (int i = 0; i < 2000 && done.empty(); ++i) {
     ASSERT_TRUE(client->Begin().ok());
     auto rows = client->Read("done");
-    ASSERT_TRUE(rows.ok()) << rows.status();
+    Status st = rows.status();
+    if (st.ok()) st = client->Commit().status();
+    if (st.IsAborted()) {
+      ++victimized;
+      continue;  // the server already closed the transaction
+    }
+    ASSERT_TRUE(st.ok()) << st;
     done = std::move(rows).ValueOrDie();
-    ASSERT_TRUE(client->Commit().ok());
     if (done.empty()) std::this_thread::sleep_for(milliseconds(1));
   }
+  EXPECT_LE(victimized, 1) << "only the one serve commit can victimize";
   ASSERT_EQ(done.size(), 1u);
   EXPECT_NE(done[0].find("42"), std::string::npos);
 }

@@ -43,6 +43,19 @@
 #                                       # Rete/TREAT/naive journals, and
 #                                       # every chaos/workload family run
 #                                       # under TREAT and naive
+#   DBPS_TIER=engine tools/check.sh     # engine tier: the parallel-engine,
+#                                       # conflict-set and lock-manager
+#                                       # suites and the abort-streak
+#                                       # escalation (ChaosStarvation)
+#                                       # tests, each test repeated until
+#                                       # it fails, up to 20 runs, 4 at a
+#                                       # time — the schedule-dependent
+#                                       # paths (claims, victims, waits,
+#                                       # wake-ups) get many interleavings.
+#                                       # Pair it with DBPS_SANITIZE=thread
+#                                       # for the race check:
+#                                       # DBPS_SANITIZE=thread \
+#                                       #   DBPS_TIER=engine tools/check.sh
 #   DBPS_TIER=audit tools/check.sh      # consistency-audit tier: the
 #                                       # auditor unit suite, the mutation
 #                                       # harness (every injected violation
@@ -238,6 +251,14 @@ elif [ "$TIER" = "matcher" ]; then
   ctest --test-dir "$BUILD_DIR" -j 4 --output-on-failure \
     -R 'MatcherTest|Rete|MatcherDifferential|ExampleProgramDifferential'
   echo "matcher tier passed"
+elif [ "$TIER" = "engine" ]; then
+  # Engine tier: every suite whose outcome depends on thread schedules —
+  # claims and their footprints, commit batching, Rc–Wa victims, lock
+  # waits, wound-wait and wake-ups — repeated to shake out rare ones.
+  ctest --test-dir "$BUILD_DIR" -j 4 --output-on-failure \
+    --repeat until-fail:20 \
+    -R '^([A-Za-z]+/)?(ParallelEngine|InterferenceAwareClaim|ConflictSet|ConflictResolution|CommitBatching|LockManager|LockCompatibility|LockTimeout|DeadlockPolicy|MixedDeadlock|StripedLock|FastPath|Escalation|ChaosStarvation)'
+  echo "engine tier passed"
 elif [ "$TIER" = "audit" ]; then
   # Consistency-audit tier: the auditor's own suites (unit, mutation
   # harness, adversarial workload families) plus the cli_audit smoke.
