@@ -202,7 +202,7 @@ constexpr const char* kAbortStormProgram = R"(
 )";
 
 EngineStats RunAbortStorm(int escalate_after, size_t workers,
-                          double* wall_ms) {
+                          double* wall_ms, LockManager::Stats* lock_stats) {
   constexpr size_t kClients = 3;
   constexpr uint64_t kWritesPerClient = 24;
   constexpr uint64_t kJobEvery = 8;
@@ -257,6 +257,7 @@ EngineStats RunAbortStorm(int escalate_after, size_t workers,
   manager.Close();
   serve.join();
   if (wall_ms != nullptr) *wall_ms = stopwatch.ElapsedSeconds() * 1e3;
+  *lock_stats = engine.lock_stats();
   return result.ValueOrDie().stats;
 }
 
@@ -270,7 +271,9 @@ void PrintAbortStormReport(bench::JsonReport* report) {
               "aborts", "retries", "maxstreak", "escalated", "backoff_us");
   for (int escalate_after : {0, 2}) {
     double wall_ms = 0;
-    EngineStats stats = RunAbortStorm(escalate_after, workers, &wall_ms);
+    LockManager::Stats lock_stats;
+    EngineStats stats =
+        RunAbortStorm(escalate_after, workers, &wall_ms, &lock_stats);
     char label[32];
     if (escalate_after == 0) {
       std::snprintf(label, sizeof(label), "off");
@@ -293,9 +296,9 @@ void PrintAbortStormReport(bench::JsonReport* report) {
     row.wall_ms = wall_ms;
     row.aborts = stats.aborts;
     row.committed = stats.firings;
+    row.fast_path_grants = lock_stats.fast_path_grants;
     uint64_t slow_grants = 0;
-    for (const LockShardCounters& shard : stats.lock_shards) {
-      row.fast_path_grants += shard.fast_path_grants;
+    for (const LockManager::ShardStats& shard : lock_stats.shards) {
       slow_grants += shard.acquires;
     }
     const uint64_t total_grants = row.fast_path_grants + slow_grants;

@@ -133,8 +133,8 @@ Outcome Run(size_t workers, LockProtocol protocol) {
   out.rc_victims = stats.closed_sessions.rc_victim_aborts;
   out.firings = run.stats.firings;
   out.rule_aborts = run.stats.aborts;
-  for (const LockShardCounters& shard : run.stats.lock_shards) {
-    out.fast_path_grants += shard.fast_path_grants;
+  out.fast_path_grants = engine.lock_stats().fast_path_grants;
+  for (const LockManager::ShardStats& shard : engine.lock_stats().shards) {
     out.slow_path_grants += shard.acquires;
   }
   out.batched_commits = run.stats.batched_commits;

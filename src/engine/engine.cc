@@ -58,27 +58,6 @@ std::string EngineStats::ToString() const {
     }
     out += "]";
   }
-  if (adaptive_batch_adjustments != 0) {
-    out += StringPrintf(" batch_limit_adjustments=%llu effective_limit=%llu",
-                        (unsigned long long)adaptive_batch_adjustments,
-                        (unsigned long long)effective_batch_limit);
-  }
-  if (!lock_shards.empty()) {
-    uint64_t waits = 0, contentions = 0, fast = 0, retries = 0;
-    for (const LockShardCounters& shard : lock_shards) {
-      waits += shard.waits;
-      contentions += shard.mutex_contentions;
-      fast += shard.fast_path_grants;
-      retries += shard.fast_path_cas_retries;
-    }
-    out += StringPrintf(" lock_shards=%zu shard_waits=%llu "
-                        "shard_mutex_contentions=%llu fast_path_grants=%llu "
-                        "fast_path_cas_retries=%llu",
-                        lock_shards.size(), (unsigned long long)waits,
-                        (unsigned long long)contentions,
-                        (unsigned long long)fast,
-                        (unsigned long long)retries);
-  }
   return out;
 }
 

@@ -31,7 +31,7 @@ namespace dbps {
 struct EngineEvent {
   enum class Kind : uint8_t {
     kCommit,    ///< a firing committed
-    kAbort,     ///< a firing was rolled back (Rc–Wa victim, deadlock, wound)
+    kAbort,     ///< a firing was rolled back (Rc–Wa victim, deadlock, injected abort)
     kStale,     ///< a claim was invalidated before execution began
     /// The commit batch that contained the preceding kCommit events is
     /// complete (key/delta null). Parallel engines emit one per executed
@@ -96,19 +96,6 @@ bool IsClientFiring(const InstKey& key);
 /// The log identity of one client session's commits.
 InstKey MakeClientKey(const std::string& session_name);
 
-/// \brief Per-shard contention counters of the striped lock table,
-/// mirrored from the lock manager at the end of a parallel run.
-struct LockShardCounters {
-  uint64_t acquires = 0;           ///< slow-path grants routed to this shard
-  uint64_t waits = 0;              ///< acquisitions that blocked here
-  uint64_t mutex_contentions = 0;  ///< shard-mutex acquisitions that spun
-  uint64_t hold_ns = 0;            ///< cumulative shard-mutex hold time
-  /// Grants that completed on the lock-free CAS fast path (no shard
-  /// mutex touched) and the CAS retries they burned doing it.
-  uint64_t fast_path_grants = 0;
-  uint64_t fast_path_cas_retries = 0;
-};
-
 /// \brief Aggregate counters of one run.
 struct EngineStats {
   uint64_t firings = 0;      ///< committed productions
@@ -140,7 +127,7 @@ struct EngineStats {
   /// High-water mark of firings simultaneously in their execute phase
   /// (parallel engines only) — the achieved degree of parallelism.
   int peak_parallel_executions = 0;
-  // --- Commit sequencer / lock sharding (parallel engines) --------------
+  // --- Commit sequencer (parallel engines) ------------------------------
   /// Commit tickets issued by the pipelined commit sequencer (every
   /// commit attempt that reached the ordered apply stage).
   uint64_t commit_tickets = 0;
@@ -157,14 +144,6 @@ struct EngineStats {
   /// that committed i members (index 0: batches whose members all turned
   /// out cancelled/aborted); the last bucket absorbs larger batches.
   std::array<uint64_t, 9> batch_size_histogram{};
-  /// Per-shard lock-table contention counters (empty for serial engines).
-  std::vector<LockShardCounters> lock_shards;
-  // --- Adaptive commit batch limit --------------------------------------
-  /// Times the self-tuning controller changed the effective batch limit.
-  uint64_t adaptive_batch_adjustments = 0;
-  /// Batch limit in effect at the end of the run (== the configured knob
-  /// unless `adaptive_batch_limit` was armed).
-  uint64_t effective_batch_limit = 0;
   bool halted = false;       ///< a (halt) action committed
   bool hit_max_firings = false;
   double elapsed_seconds = 0.0;

@@ -7,7 +7,6 @@
 
 #include "analysis/access_sets.h"
 #include "analysis/lock_sets.h"
-#include "engine/adaptive_batch.h"
 #include "engine/busy_work.h"
 #include "rules/rhs_evaluator.h"
 #include "util/failpoint.h"
@@ -91,8 +90,7 @@ void ParallelEngine::SequencedCommit::Commit(PendingCommit* pending) {
   uint64_t stall_ns = 0;
   std::vector<PendingCommit*> batch = engine_->sequencer_.AwaitTurn(
       ticket_, pending,
-      engine_->effective_batch_limit_.load(std::memory_order_relaxed),
-      &stall_ns);
+      std::max<size_t>(1, engine_->options_.commit_batch_limit), &stall_ns);
   engine_->sequencer_stall_ns_.fetch_add(stall_ns,
                                          std::memory_order_relaxed);
   if (batch.empty()) return;  // a prior head executed this commit
@@ -243,38 +241,6 @@ void ParallelEngine::ExecuteBatch(const std::vector<PendingCommit*>& batch) {
     const size_t bucket =
         std::min(live.size(), stats_.batch_size_histogram.size() - 1);
     ++stats_.batch_size_histogram[bucket];
-    if (options_.adaptive_batch_limit && stats_.commit_batches % 64 == 0) {
-      // Window the controller on the last 64 batches: saturated batches
-      // (histogram buckets at/above the current limit), total batches,
-      // and sequencer stall, as deltas against the previous evaluation.
-      const size_t current =
-          effective_batch_limit_.load(std::memory_order_relaxed);
-      uint64_t saturated = 0;
-      for (size_t b =
-               std::min(current, stats_.batch_size_histogram.size() - 1);
-           b < stats_.batch_size_histogram.size(); ++b) {
-        saturated += stats_.batch_size_histogram[b];
-      }
-      const uint64_t stall_ns =
-          sequencer_stall_ns_.load(std::memory_order_relaxed);
-      AdaptiveBatchSignals window;
-      // The saturation bucket moves when the limit changes, so the
-      // cumulative count can shrink across evaluations; clamp at zero.
-      window.saturated_batches =
-          saturated >= adapt_last_saturated_ ? saturated - adapt_last_saturated_
-                                             : 0;
-      window.total_batches = stats_.commit_batches - adapt_last_batches_;
-      window.stall_micros = (stall_ns - adapt_last_stall_ns_) / 1000;
-      adapt_last_saturated_ = saturated;
-      adapt_last_batches_ = stats_.commit_batches;
-      adapt_last_stall_ns_ = stall_ns;
-      const size_t next = ComputeAdaptiveBatchLimit(
-          window, current, /*floor_limit=*/1, /*ceiling=*/64);
-      if (next != current) {
-        effective_batch_limit_.store(next, std::memory_order_relaxed);
-        ++stats_.adaptive_batch_adjustments;
-      }
-    }
   }
 }
 
@@ -282,8 +248,6 @@ ParallelEngine::ParallelEngine(WorkingMemory* wm, RuleSetPtr rules,
                                ParallelEngineOptions options)
     : wm_(wm), rules_(std::move(rules)), options_(options) {
   commit_seq_ = options_.start_seq;
-  effective_batch_limit_.store(std::max<size_t>(1, options_.commit_batch_limit),
-                               std::memory_order_relaxed);
   DBPS_CHECK(wm_ != nullptr);
   DBPS_CHECK(rules_ != nullptr);
   DBPS_CHECK_GT(options_.num_workers, 0u);
@@ -295,7 +259,6 @@ StatusOr<RunResult> ParallelEngine::Run() {
 
   LockManager::Options lock_options;
   lock_options.protocol = options_.protocol;
-  lock_options.deadlock_policy = options_.deadlock_policy;
   lock_options.wait_timeout = options_.lock_timeout;
   lock_options.num_shards = options_.num_lock_shards;
   lock_manager_ = std::make_unique<LockManager>(lock_options);
@@ -326,21 +289,12 @@ StatusOr<RunResult> ParallelEngine::Run() {
   stats_.commit_tickets = sequencer_.tickets_issued();
   stats_.sequencer_stall_micros =
       sequencer_stall_ns_.load(std::memory_order_relaxed) / 1000;
-  stats_.effective_batch_limit =
-      effective_batch_limit_.load(std::memory_order_relaxed);
   // (DisableAll resets the cumulative counter; saturate instead of
   // underflowing if that happened mid-run.)
   const uint64_t faults_now = FailpointRegistry::Instance().total_fires();
   stats_.injected_faults =
       faults_now >= faults_before ? faults_now - faults_before : faults_now;
   lock_stats_ = lock_manager_->GetStats();
-  stats_.lock_shards.clear();
-  stats_.lock_shards.reserve(lock_stats_.shards.size());
-  for (const LockManager::ShardStats& shard : lock_stats_.shards) {
-    stats_.lock_shards.push_back(LockShardCounters{
-        shard.acquires, shard.waits, shard.mutex_contentions, shard.hold_ns,
-        shard.fast_path_grants, shard.fast_path_cas_retries});
-  }
   return RunResult{stats_, log_};
 }
 

@@ -111,13 +111,12 @@ struct ParallelEngineOptions {
   size_t commit_batch_limit = 8;
   LockProtocol protocol = LockProtocol::kRcRaWa;
   AbortPolicy abort_policy = AbortPolicy::kAbort;
-  DeadlockPolicy deadlock_policy = DeadlockPolicy::kDetect;
   /// Escalate a firing's tuple-level Rc locks to one relation-level Rc
   /// when it holds more than this many in a relation (0 = never) — §4.3.
   size_t rc_escalation_threshold = 0;
   std::chrono::milliseconds lock_timeout{10000};
   /// Starvation guarantee: once the SAME instantiation has been aborted
-  /// this many times in a row (Rc victimization, deadlock, wound...), its
+  /// this many times in a row (Rc victimization, deadlock...), its
   /// next attempt acquires locks in blocking (2PL-style) mode, so
   /// committing writers wait behind its Rc instead of victimizing it
   /// again — repeatedly-victimized firings eventually commit. kRcRaWa
@@ -135,12 +134,6 @@ struct ParallelEngineOptions {
   /// [0, start_seq), and the restarted engine's commits must extend that
   /// numbering without a gap or overlap.
   uint64_t start_seq = 0;
-  /// Self-tune the effective commit batch limit from the observed
-  /// batch-size histogram and sequencer stall time (engine/
-  /// adaptive_batch.h): `commit_batch_limit` is the starting point and
-  /// the controller moves the effective limit within [1, 64] by powers
-  /// of two. Off = the fixed knob, as the ablation baseline.
-  bool adaptive_batch_limit = false;
   /// Emit full audit evidence (`;a(...)`) only on every Nth commit
   /// (0/1 = every commit, the default). Sampled journals stay replayable
   /// and order-checkable; the auditor treats unaudited lines as
@@ -410,16 +403,6 @@ class ParallelEngine {
   EngineStats stats_;
   CommitSequencer sequencer_;
   std::atomic<uint64_t> sequencer_stall_ns_{0};
-  /// Batch limit the sequencer folds to. Equals the configured
-  /// commit_batch_limit unless adaptive_batch_limit is armed, in which
-  /// case the ordered commit stage republishes it every stats window
-  /// (ComputeAdaptiveBatchLimit) and committers read it per commit.
-  std::atomic<size_t> effective_batch_limit_{1};
-  /// Controller window baselines; only the ordered commit stage (one
-  /// thread at a time) touches them.
-  uint64_t adapt_last_batches_ = 0;
-  uint64_t adapt_last_saturated_ = 0;
-  uint64_t adapt_last_stall_ns_ = 0;
   /// Only the ordered commit stage (one thread at a time, by ticket)
   /// touches these; Run() reads them after the pipeline drains.
   uint64_t commit_seq_ = 0;  ///< total commits (firings + client txns)

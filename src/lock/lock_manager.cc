@@ -99,18 +99,6 @@ std::string LockEvent::ToString() const {
   return out.str();
 }
 
-const char* DeadlockPolicyToString(DeadlockPolicy policy) {
-  switch (policy) {
-    case DeadlockPolicy::kDetect:
-      return "detect";
-    case DeadlockPolicy::kWoundWait:
-      return "wound-wait";
-    case DeadlockPolicy::kNoWait:
-      return "no-wait";
-  }
-  return "?";
-}
-
 LockManager::LockManager(Options options) : options_(std::move(options)) {
   const size_t n = std::max<size_t>(1, options_.num_shards);
   shards_.reserve(n);
@@ -493,7 +481,6 @@ bool LockManager::WouldDeadlock(TxnId txn,
   // DFS from each blocker through waits_for_, looking for txn. The graph
   // is global (edges from waiters on every shard), so cycles whose waits
   // span shards are found here even though the lock table is striped.
-  std::lock_guard<std::mutex> guard(slow_mu_);
   std::vector<TxnId> stack(blockers.begin(), blockers.end());
   std::unordered_set<TxnId> visited;
   while (!stack.empty()) {
@@ -541,9 +528,10 @@ Status LockManager::Acquire(TxnId txn, LockObjectId object, LockMode mode) {
   if (state->aborted.load(std::memory_order_acquire)) {
     return Status::Aborted("transaction was aborted");
   }
-  // Chaos sites: a spurious wait-timeout, and a wound storm (the request
-  // loses to an imaginary older transaction and is marked aborted) —
-  // exactly the failures callers must already survive.
+  // Chaos sites: a spurious wait-timeout, and an injected abort (the
+  // request is marked aborted, as if a committer had victimized it) —
+  // exactly the failures callers must already survive. Stats::wounds
+  // counts the injected aborts.
   if (DBPS_FAILPOINT("lock.acquire.timeout")) {
     timeouts_.fetch_add(1, std::memory_order_relaxed);
     return Status::LockTimeout("injected timeout on " + object.ToString());
@@ -622,58 +610,6 @@ Status LockManager::Acquire(TxnId txn, LockObjectId object, LockMode mode) {
         FindConflicts(shard, txn, requester_blocking, object, mode);
     if (conflicts.empty()) break;
 
-    switch (options_.deadlock_policy) {
-      case DeadlockPolicy::kNoWait:
-        deadlocks_.fetch_add(1, std::memory_order_relaxed);
-        events.Add(LockEvent::Kind::kDeadlock, txn, object, mode);
-        return Status::Deadlock("no-wait: " + object.ToString() +
-                                " is held in a conflicting mode");
-      case DeadlockPolicy::kWoundWait: {
-        // Wound every younger conflicting holder, then wait: waits only
-        // ever target older transactions, so no cycle can form. Marking
-        // fences every shard, so it must happen with this shard's mutex
-        // dropped. Holders already wounded are not prey: they will
-        // release on their own, and skipping them keeps the mutex held
-        // from the conflict check to the wait below.
-        std::vector<std::pair<TxnId, TxnPtr>> prey;
-        for (TxnId holder : conflicts) {
-          if (holder <= txn) continue;
-          TxnPtr holder_state = FindTxn(holder);
-          if (holder_state != nullptr &&
-              !holder_state->aborted.load(std::memory_order_acquire)) {
-            prey.emplace_back(holder, std::move(holder_state));
-          }
-        }
-        if (!prey.empty()) {
-          shard_lock.unlock();
-          for (const auto& [holder, holder_state] : prey) {
-            if (holder_state->aborted.load(std::memory_order_acquire)) {
-              continue;
-            }
-            wounds_.fetch_add(1, std::memory_order_relaxed);
-            MarkAbortedTxn(holder, holder_state, &events);
-          }
-          shard_lock.lock();
-          // The mutex was dropped: conflicts may have cleared, and this
-          // transaction may have been wounded, with the wake-ups already
-          // sent. Recompute before waiting.
-          if (state->aborted.load(std::memory_order_acquire)) {
-            return Status::Aborted("transaction aborted while waiting for " +
-                                   object.ToString());
-          }
-          continue;
-        }
-        break;
-      }
-      case DeadlockPolicy::kDetect:
-        if (WouldDeadlock(txn, conflicts)) {
-          deadlocks_.fetch_add(1, std::memory_order_relaxed);
-          events.Add(LockEvent::Kind::kDeadlock, txn, object, mode);
-          return Status::Deadlock("waiting for " + object.ToString() +
-                                  " would close a waits-for cycle");
-        }
-        break;
-    }
     // Checked under the shard mutex, so a MarkAborted after this point
     // fences this shard only once the wait below has released it — its
     // wake-up cannot be lost. (The entry check ran before the mutex.)
@@ -681,15 +617,25 @@ Status LockManager::Acquire(TxnId txn, LockObjectId object, LockMode mode) {
       return Status::Aborted("transaction aborted while waiting for " +
                              object.ToString());
     }
+    {
+      // The cycle check and the edge it approves go in under one hold of
+      // slow_mu_: two requesters (on different shards) that each checked
+      // before the other registered would both park on a cycle neither
+      // saw, until their wait_timeout.
+      std::lock_guard<std::mutex> slow_guard(slow_mu_);
+      if (WouldDeadlock(txn, conflicts)) {
+        deadlocks_.fetch_add(1, std::memory_order_relaxed);
+        events.Add(LockEvent::Kind::kDeadlock, txn, object, mode);
+        return Status::Deadlock("waiting for " + object.ToString() +
+                                " would close a waits-for cycle");
+      }
+      waits_for_[txn] = std::move(conflicts);
+    }
     if (!waited) {
       waited = true;
       blocked_.fetch_add(1, std::memory_order_relaxed);
       ++shard.stats.waits;
       events.Add(LockEvent::Kind::kBlock, txn, object, mode);
-    }
-    {
-      std::lock_guard<std::mutex> slow_guard(slow_mu_);
-      waits_for_[txn] = std::move(conflicts);
     }
     auto wait_result = shard.cv.wait_until(shard_lock, deadline);
     {

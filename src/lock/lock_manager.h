@@ -37,7 +37,7 @@
 //    guard and retreats to the slow path.
 //  * Transaction state lives in a separately striped registry; the
 //    aborted/blocking flags are atomics so commit-time victimization and
-//    wound-wait marking never touch a lock shard.
+//    chaos-injected aborts never touch a lock shard.
 //  * The waits-for graph (deadlock detection) sits behind one slow-path
 //    mutex that is touched only when a request actually blocks — the
 //    grant fast path never takes it. Cycles spanning shards are detected
@@ -58,7 +58,7 @@
 // the requester that would close a cycle is chosen as victim and gets
 // kDeadlock. (The non-exclusive Rc lock introduces no new deadlock kinds —
 // §4.3 — so this standard scheme suffices for both protocols.) Fast
-// grants never wait, so the deadlock policies engage exclusively on the
+// grants never wait, so deadlock detection engages exclusively on the
 // slow path.
 
 #ifndef DBPS_LOCK_LOCK_MANAGER_H_
@@ -109,30 +109,10 @@ struct LockEvent {
   std::string ToString() const;
 };
 
-/// \brief How lock-wait cycles are handled (§4.3: "the deadlock
-/// prevention, avoidance, detection or resolution schemes for standard
-/// 2-phase locking can be applied to our scheme as well").
-enum class DeadlockPolicy : uint8_t {
-  /// Detection: maintain the waits-for graph; a requester whose wait
-  /// would close a cycle is the victim (gets kDeadlock).
-  kDetect = 0,
-  /// Avoidance, wound-wait: an older requester wounds (marks aborted)
-  /// every younger conflicting holder and then waits; a younger
-  /// requester simply waits. Waits only ever target older transactions,
-  /// so cycles cannot form.
-  kWoundWait = 1,
-  /// Prevention, no-wait: any conflict immediately returns kDeadlock
-  /// (the engine treats it as an abort-and-retry).
-  kNoWait = 2,
-};
-
-const char* DeadlockPolicyToString(DeadlockPolicy policy);
-
 class LockManager {
  public:
   struct Options {
     LockProtocol protocol = LockProtocol::kRcRaWa;
-    DeadlockPolicy deadlock_policy = DeadlockPolicy::kDetect;
     /// Upper bound on a single wait; expiring yields kLockTimeout.
     std::chrono::milliseconds wait_timeout{10000};
     /// Lock-table stripes (clamped to >= 1). Every object of one relation
@@ -176,8 +156,9 @@ class LockManager {
   struct Stats {
     uint64_t acquired = 0;
     uint64_t blocked = 0;    // requests that waited at least once
-    uint64_t deadlocks = 0;  // kDetect cycles + kNoWait refusals
-    uint64_t wounds = 0;     // kWoundWait victims
+    uint64_t deadlocks = 0;  // requests refused for closing a cycle
+    /// Aborts injected by the `lock.acquire.wound` chaos site.
+    uint64_t wounds = 0;
     uint64_t timeouts = 0;
     /// Waits that reached wait_timeout, whether or not the conflict had
     /// cleared by then. Every conflict clears with a wake-up (Release,
@@ -347,7 +328,7 @@ class LockManager {
   };
 
   struct TxnState {
-    /// Set by conflicting committers (Rc–Wa rule) and wound-wait; read on
+    /// Set by conflicting committers (Rc–Wa rule) and injected aborts; read on
     /// every Acquire. Atomic so marking never touches a lock shard.
     std::atomic<bool> aborted{false};
     /// 2PL-style acquisition (starvation escalation); see SetBlocking.
@@ -478,8 +459,8 @@ class LockManager {
   bool ConflictsWithHolder(bool requester_blocking, LockMode mode,
                            TxnId holder, const ModeCounts& counts) const;
 
-  /// True iff adding edge txn -> blockers closes a cycle. Takes the
-  /// slow-path mutex internally.
+  /// True iff adding edge txn -> blockers closes a cycle. Requires
+  /// slow_mu_.
   bool WouldDeadlock(TxnId txn, const std::vector<TxnId>& blockers) const;
 
   /// Marks `state` aborted and wakes any shard it may be parked on.

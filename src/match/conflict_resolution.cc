@@ -35,19 +35,23 @@ int CompareTagsDesc(const std::vector<TimeTag>& a,
   return 0;
 }
 
+/// The deterministic final tie-break: the lower key text wins.
+int CompareKeyText(const Instantiation& a, const Instantiation& b) {
+  std::string key_a = a.key().ToString();
+  std::string key_b = b.key().ToString();
+  if (key_a != key_b) return key_a < key_b ? 1 : -1;
+  return 0;
+}
+
 /// LEX: recency of the sorted time tags, then specificity, then the key
-/// text (lower wins) as the deterministic final tie-break. The key texts
-/// are built only when everything before them ties.
+/// text. The key texts are built only when everything before them ties.
 int LexCompare(const Instantiation& a, const Instantiation& b) {
   int recency = CompareTagsDesc(a.recency_tags(), b.recency_tags());
   if (recency != 0) return recency;
   size_t spec_a = a.rule()->specificity();
   size_t spec_b = b.rule()->specificity();
   if (spec_a != spec_b) return spec_a > spec_b ? 1 : -1;
-  std::string key_a = a.key().ToString();
-  std::string key_b = b.key().ToString();
-  if (key_a != key_b) return key_a < key_b ? 1 : -1;
-  return 0;
+  return CompareKeyText(a, b);
 }
 
 /// MEA: the time tag of the WME matching the *first* CE dominates.
@@ -63,8 +67,13 @@ int CompareDominance(ConflictResolution strategy, const Candidate& a,
   const Instantiation& ib = **b.inst;
   switch (strategy) {
     case ConflictResolution::kFifo:
-      if (a.activation_seq == b.activation_seq) return 0;
-      return a.activation_seq < b.activation_seq ? 1 : -1;
+      // One propagation's activations share a seq; the matcher's order
+      // among them follows pointer-keyed containers, so the key text
+      // decides instead.
+      if (a.activation_seq != b.activation_seq) {
+        return a.activation_seq < b.activation_seq ? 1 : -1;
+      }
+      return CompareKeyText(ia, ib);
     case ConflictResolution::kMea: {
       TimeTag first_a = FirstTag(ia);
       TimeTag first_b = FirstTag(ib);

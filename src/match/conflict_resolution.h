@@ -21,13 +21,14 @@ enum class ConflictResolution : uint8_t {
   kPriority,  ///< rule priority desc, then LEX ordering as tie-break
   kLex,       ///< OPS5 LEX: recency of sorted time tags, then specificity
   kMea,       ///< OPS5 MEA: first-CE recency first, then LEX
-  kFifo,      ///< oldest activation first
+  kFifo,      ///< oldest propagation first, then the key text
   kRandom,    ///< uniform over the candidates (seeded)
 };
 
 const char* ConflictResolutionToString(ConflictResolution strategy);
 
-/// \brief A candidate with its activation sequence number (for kFifo).
+/// \brief A candidate with its activation sequence number (for kFifo):
+/// the number of the matcher propagation that activated it.
 struct Candidate {
   const InstPtr* inst;
   uint64_t activation_seq;

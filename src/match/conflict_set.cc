@@ -45,11 +45,13 @@ void ConflictSet::Activate(InstPtr inst) {
   bool claimed = false;
   for (const InstPtr& claim : claims_) claimed |= claim->key() == key;
   auto [it, inserted] = active_.try_emplace(
-      std::move(key),
-      Entry{std::move(inst), next_seq_, claimed, {}});
-  if (!inserted) return;
-  ++next_seq_;
-  if (!claimed) InsertSelectableLocked(&it->second);
+      std::move(key), Entry{std::move(inst), propagation_, claimed, {}});
+  if (inserted && !claimed) InsertSelectableLocked(&it->second);
+}
+
+void ConflictSet::BeginPropagation() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++propagation_;
 }
 
 void ConflictSet::InsertSelectableLocked(Entry* entry) {
@@ -115,16 +117,19 @@ InstPtr ConflictSet::Claim(ConflictResolution strategy, Random* rng) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry* chosen = nullptr;
   if (strategy == ConflictResolution::kRandom) {
-    // No order to index: a uniform pick over the eligible candidates, in
-    // active_'s (deterministic) iteration order.
-    std::vector<Candidate> candidates;
-    for (const auto& [key, entry] : active_) {
+    // No order to index: a uniform pick over the eligible candidates
+    // sorted by key text. (active_'s iteration order follows the order
+    // of the activations, which within one propagation follows the
+    // matcher's pointer-keyed containers.)
+    DBPS_CHECK(rng != nullptr);
+    std::vector<std::pair<std::string, Entry*>> eligible;
+    for (auto& [key, entry] : active_) {
       if (entry.claimed || InterferesLocked(*entry.inst)) continue;
-      candidates.push_back(Candidate{&entry.inst, entry.activation_seq});
+      eligible.emplace_back(key.ToString(), &entry);
     }
-    const InstPtr* selected = SelectDominant(candidates, strategy, rng);
-    if (selected == nullptr) return nullptr;
-    chosen = &active_.find((*selected)->key())->second;
+    if (eligible.empty()) return nullptr;
+    std::sort(eligible.begin(), eligible.end());
+    chosen = eligible[rng->Uniform(eligible.size())].second;
   } else {
     if (!indexed_ || selectable_.key_comp().strategy != strategy) {
       IndexLocked(strategy);

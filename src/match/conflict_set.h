@@ -11,7 +11,8 @@
 //    strategy's dominance (CompareDominance), its key computed once at
 //    Activate. Claim takes the first eligible entry instead of scanning
 //    and comparing the whole set, and picks exactly what SelectDominant
-//    would over the same candidates. kRandom keeps its uniform pick.
+//    would over the same candidates. kRandom picks uniformly over the
+//    eligible candidates sorted by key text.
 //  * Every claim registers its tuple-level footprint: the WMEs the
 //    instantiation matched (reads) and those its RHS modifies or removes
 //    (writes). Claim skips a candidate that reads a WME an in-flight
@@ -53,6 +54,14 @@ class ConflictSet {
   /// Activates an instantiation (match phase found it satisfied).
   /// Re-activating an already-active key is a no-op.
   void Activate(InstPtr inst);
+
+  /// Starts a matcher propagation: every instantiation activated until
+  /// the next call shares one activation number, later than all earlier
+  /// ones. kFifo picks the oldest propagation first and breaks ties
+  /// within it by key text, so the order in which one propagation
+  /// activates its instantiations (it follows the matcher's
+  /// pointer-keyed containers, i.e. the heap layout) never shows.
+  void BeginPropagation();
 
   /// Deactivates (LHS no longer satisfied). No-op if absent. A claim on
   /// `key` stays in flight until its claimant ends it.
@@ -130,7 +139,7 @@ class ConflictSet {
   using Index = std::set<Entry*, DominanceOrder>;
   struct Entry {
     InstPtr inst;
-    uint64_t activation_seq;
+    uint64_t activation_seq;  ///< the propagation that activated it
     bool claimed = false;  ///< a claim on this key is in flight
     Index::iterator pos;   ///< its place in selectable_ while unclaimed
   };
@@ -161,7 +170,7 @@ class ConflictSet {
   /// matched and written WMEs. A claim can outlive its active_ entry.
   /// At most one per engine worker, so a flat vector scans fastest.
   std::vector<InstPtr> claims_;
-  uint64_t next_seq_ = 0;
+  uint64_t propagation_ = 0;  ///< BeginPropagation calls so far
 };
 
 }  // namespace dbps

@@ -13,11 +13,13 @@ Status NaiveMatcher::Initialize(RuleSetPtr rules, const WorkingMemory& wm) {
 }
 
 void NaiveMatcher::ApplyChange(const WmChange& change) {
+  conflict_set_.BeginPropagation();
   (void)change;  // the naive matcher always rematches everything
   Recompute();
 }
 
 void NaiveMatcher::ApplyChanges(const std::vector<WmChange>& changes) {
+  conflict_set_.BeginPropagation();
   // The clearest amortization win: one full rematch for the whole batch
   // instead of one per change.
   if (!changes.empty()) Recompute();

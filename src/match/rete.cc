@@ -812,11 +812,13 @@ Status ReteMatcher::Initialize(RuleSetPtr rules, const WorkingMemory& wm) {
 }
 
 void ReteMatcher::ApplyChange(const WmChange& change) {
+  conflict_set_.BeginPropagation();
   for (const WmePtr& wme : change.removed) network_->RemoveWme(wme.get());
   for (const WmePtr& wme : change.added) network_->AddWme(wme);
 }
 
 void ReteMatcher::ApplyChanges(const std::vector<WmChange>& changes) {
+  conflict_set_.BeginPropagation();
   // One pass: every removal leaves the network before any addition joins,
   // so an added WME never pairs with a dying version from a sibling
   // change. Sound because batch members are pairwise disjoint (no change

@@ -30,11 +30,13 @@ Status TreatMatcher::Initialize(RuleSetPtr rules, const WorkingMemory& wm) {
 }
 
 void TreatMatcher::ApplyChange(const WmChange& change) {
+  conflict_set_.BeginPropagation();
   for (const WmePtr& wme : change.removed) RemoveWme(wme);
   for (const WmePtr& wme : change.added) AddWme(wme);
 }
 
 void TreatMatcher::ApplyChanges(const std::vector<WmChange>& changes) {
+  conflict_set_.BeginPropagation();
   // All removals, then all additions — see ReteMatcher::ApplyChanges for
   // why this is sound on pairwise-disjoint batches.
   for (const WmChange& change : changes) {

@@ -91,9 +91,11 @@ TEST(EngineOptions, ParallelRandomStrategyIsConsistent) {
   EXPECT_TRUE(ValidateReplay(pristine.get(), rules, result.log).ok());
 }
 
-TEST(EngineOptions, EscalationPlusWoundWaitEndToEnd) {
-  // Combine the §4.3 extras: escalated Rc locks and wound-wait, under
-  // contention.
+TEST(EngineOptions, EscalationUnderDetectionEndToEnd) {
+  // Escalated (relation-level) Rc locks under contention: every firing
+  // reads both tuples and writes one, so the escalated Rc locks and the
+  // writers' Wa locks contend on one relation, and waits-for detection
+  // resolves any cycle.
   WorkingMemory wm;
   auto rules = LoadProgram(R"(
 (relation pairt (slot int) (v int))
@@ -111,7 +113,6 @@ TEST(EngineOptions, EscalationPlusWoundWaitEndToEnd) {
   ParallelEngineOptions options;
   options.num_workers = 4;
   options.rc_escalation_threshold = 1;  // both Rc locks escalate
-  options.deadlock_policy = DeadlockPolicy::kWoundWait;
   ParallelEngine engine(&wm, rules, options);
   auto result = engine.Run().ValueOrDie();
   EXPECT_EQ(result.stats.firings, 10u);

@@ -1,12 +1,15 @@
-// Deadlock prevention/avoidance/detection alternatives (§4.3's remark
-// that standard 2PL schemes apply unchanged), plus engine-level
-// consistency under every policy.
+// Deadlock handling (§4.3's remark that the standard 2PL schemes apply
+// unchanged to Rc/Ra/Wa locking): waits-for detection is the one policy.
+// Engine-level consistency under it for both protocols, and deadlocks
+// that cross the rule/client boundary. The lock-level detection cases
+// live in lock_manager_test, striped_lock_test and fast_path_test.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "engine/parallel_engine.h"
@@ -18,191 +21,17 @@
 namespace dbps {
 namespace {
 
-LockObjectId Tuple(const char* relation, WmeId id) {
-  return LockObjectId{Sym(relation), id};
-}
-
-LockManager::Options Opts(DeadlockPolicy policy) {
-  LockManager::Options options;
-  options.protocol = LockProtocol::kTwoPhase;
-  options.deadlock_policy = policy;
-  options.wait_timeout = std::chrono::milliseconds(2000);
-  return options;
-}
-
-LockManager::Options RcRaWaOpts(DeadlockPolicy policy) {
-  LockManager::Options options = Opts(policy);
-  options.protocol = LockProtocol::kRcRaWa;
-  return options;
-}
-
-TEST(DeadlockPolicy, NoWaitRefusesImmediately) {
-  LockManager lm(Opts(DeadlockPolicy::kNoWait));
-  TxnId t1 = lm.Begin(), t2 = lm.Begin();
-  ASSERT_TRUE(lm.Acquire(t1, Tuple("r", 1), LockMode::kWa).ok());
-  // No blocking, instant refusal.
-  Status st = lm.Acquire(t2, Tuple("r", 1), LockMode::kRc);
-  EXPECT_TRUE(st.IsDeadlock()) << st;
-  EXPECT_GE(lm.GetStats().deadlocks, 1u);
-  EXPECT_EQ(lm.GetStats().blocked, 0u);
-}
-
-TEST(DeadlockPolicy, NoWaitGrantsWhenFree) {
-  LockManager lm(Opts(DeadlockPolicy::kNoWait));
-  TxnId t1 = lm.Begin();
-  EXPECT_TRUE(lm.Acquire(t1, Tuple("r", 1), LockMode::kWa).ok());
-  EXPECT_TRUE(lm.Acquire(t1, Tuple("r", 2), LockMode::kRc).ok());
-}
-
-TEST(DeadlockPolicy, WoundWaitOlderWoundsYounger) {
-  LockManager lm(Opts(DeadlockPolicy::kWoundWait));
-  TxnId older = lm.Begin();   // smaller id
-  TxnId younger = lm.Begin();
-  ASSERT_TRUE(lm.Acquire(younger, Tuple("r", 1), LockMode::kWa).ok());
-
-  // The older requester wounds the younger holder and then waits for its
-  // release.
-  auto request = std::async(std::launch::async, [&] {
-    return lm.Acquire(older, Tuple("r", 1), LockMode::kWa);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_TRUE(lm.IsAborted(younger));
-  EXPECT_GE(lm.GetStats().wounds, 1u);
-  lm.Release(younger);  // the wounded transaction rolls back
-  EXPECT_TRUE(request.get().ok());
-}
-
-TEST(DeadlockPolicy, WoundWaitYoungerWaitsForOlder) {
-  LockManager lm(Opts(DeadlockPolicy::kWoundWait));
-  TxnId older = lm.Begin();
-  TxnId younger = lm.Begin();
-  ASSERT_TRUE(lm.Acquire(older, Tuple("r", 1), LockMode::kWa).ok());
-
-  std::atomic<bool> granted{false};
-  std::thread waiter([&] {
-    Status st = lm.Acquire(younger, Tuple("r", 1), LockMode::kWa);
-    EXPECT_TRUE(st.ok()) << st;
-    granted.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(granted.load());
-  EXPECT_FALSE(lm.IsAborted(older));  // younger never wounds
-  lm.Release(older);
-  waiter.join();
-  EXPECT_TRUE(granted.load());
-}
-
-TEST(DeadlockPolicy, WoundWaitResolvesUpgradeRace) {
-  // Both hold Rc, both upgrade to Wa: under wound-wait the older one
-  // wounds the younger instead of deadlocking.
-  LockManager lm(Opts(DeadlockPolicy::kWoundWait));
-  TxnId older = lm.Begin();
-  TxnId younger = lm.Begin();
-  ASSERT_TRUE(lm.Acquire(older, Tuple("r", 1), LockMode::kRc).ok());
-  ASSERT_TRUE(lm.Acquire(younger, Tuple("r", 1), LockMode::kRc).ok());
-
-  auto older_upgrade = std::async(std::launch::async, [&] {
-    return lm.Acquire(older, Tuple("r", 1), LockMode::kWa);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_TRUE(lm.IsAborted(younger));
-  // The younger's own upgrade attempt fails with Aborted.
-  EXPECT_TRUE(
-      lm.Acquire(younger, Tuple("r", 1), LockMode::kWa).IsAborted());
-  lm.Release(younger);
-  EXPECT_TRUE(older_upgrade.get().ok());
-}
-
-// --- the same policies under the Rc/Ra/Wa protocol ---------------------
-//
-// Under kRcRaWa Wa-over-Rc never blocks (so that classic conflict can't
-// deadlock at all); the remaining blocking cells — Wa-Wa, Rc/Ra-over-Wa —
-// still can, and the standard 2PL schemes must apply unchanged (§4.3).
-
-TEST(DeadlockPolicy, RcRaWaNoWaitRefusesOnWaWaConflict) {
-  LockManager lm(RcRaWaOpts(DeadlockPolicy::kNoWait));
-  TxnId t1 = lm.Begin(), t2 = lm.Begin();
-  ASSERT_TRUE(lm.Acquire(t1, Tuple("r", 1), LockMode::kWa).ok());
-  // Wa over Rc would have been granted; Wa over Wa refuses instantly.
-  Status st = lm.Acquire(t2, Tuple("r", 1), LockMode::kWa);
-  EXPECT_TRUE(st.IsDeadlock()) << st;
-  EXPECT_EQ(lm.GetStats().blocked, 0u);
-}
-
-TEST(DeadlockPolicy, RcRaWaNoWaitStillGrantsWaOverRc) {
-  // The protocol's enhanced grant is unaffected by the no-wait policy:
-  // no conflict is ever reached, so nothing to refuse.
-  LockManager lm(RcRaWaOpts(DeadlockPolicy::kNoWait));
-  TxnId reader = lm.Begin(), writer = lm.Begin();
-  ASSERT_TRUE(lm.Acquire(reader, Tuple("r", 1), LockMode::kRc).ok());
-  EXPECT_TRUE(lm.Acquire(writer, Tuple("r", 1), LockMode::kWa).ok());
-  EXPECT_EQ(lm.GetStats().deadlocks, 0u);
-}
-
-TEST(DeadlockPolicy, RcRaWaWoundWaitOnRcOverWa) {
-  // Rc requested over an outstanding Wa blocks under kRcRaWa; an older
-  // reader wounds the younger writer instead of waiting forever.
-  LockManager lm(RcRaWaOpts(DeadlockPolicy::kWoundWait));
-  TxnId older = lm.Begin();
-  TxnId younger = lm.Begin();
-  ASSERT_TRUE(lm.Acquire(younger, Tuple("r", 1), LockMode::kWa).ok());
-
-  auto request = std::async(std::launch::async, [&] {
-    return lm.Acquire(older, Tuple("r", 1), LockMode::kRc);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_TRUE(lm.IsAborted(younger));
-  EXPECT_GE(lm.GetStats().wounds, 1u);
-  lm.Release(younger);
-  EXPECT_TRUE(request.get().ok());
-}
-
-TEST(DeadlockPolicy, RcRaWaWoundWaitYoungerWaitsOnInsertIntentConflict) {
-  // Hierarchy cell: an insert intent (tuple Wa) over a relation Rc is the
-  // enhanced grant — settled at commit by victimization, never blocking —
-  // so the waiting direction is the reverse: a relation Rc requested over
-  // an outstanding insert intent is Rc-over-Wa, denied in both matrices.
-  // The requester here is younger, so under wound-wait it waits rather
-  // than wounding the older creator.
-  LockManager lm(RcRaWaOpts(DeadlockPolicy::kWoundWait));
-  TxnId older = lm.Begin();
-  TxnId younger = lm.Begin();
-  ASSERT_TRUE(lm.Acquire(older,
-                         LockObjectId{Sym("r"), kInsertLockBase + older},
-                         LockMode::kWa)
-                  .ok());
-
-  std::atomic<bool> granted{false};
-  std::thread waiter([&] {
-    EXPECT_TRUE(
-        lm.Acquire(younger, LockObjectId{Sym("r"), kRelationLevel},
-                   LockMode::kRc)
-            .ok());
-    granted.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(granted.load());
-  EXPECT_FALSE(lm.IsAborted(older));
-  lm.Release(older);
-  waiter.join();
-  EXPECT_TRUE(granted.load());
-}
-
-TEST(DeadlockPolicy, ToStringNames) {
-  EXPECT_STREQ(DeadlockPolicyToString(DeadlockPolicy::kDetect), "detect");
-  EXPECT_STREQ(DeadlockPolicyToString(DeadlockPolicy::kWoundWait),
-               "wound-wait");
-  EXPECT_STREQ(DeadlockPolicyToString(DeadlockPolicy::kNoWait), "no-wait");
+std::string ProtocolName(LockProtocol protocol) {
+  return protocol == LockProtocol::kTwoPhase ? "TwoPhase" : "RcRaWa";
 }
 
 // Engine-level: the contended-counter workload stays exact and replayable
-// under every (protocol, deadlock policy) combination.
+// under detection with either protocol.
 class DeadlockPolicyEngine
-    : public ::testing::TestWithParam<std::tuple<LockProtocol,
-                                                 DeadlockPolicy>> {};
+    : public ::testing::TestWithParam<std::tuple<LockProtocol>> {};
 
 TEST_P(DeadlockPolicyEngine, ContendedCounterStaysConsistent) {
-  auto [protocol, policy] = GetParam();
+  const LockProtocol protocol = std::get<0>(GetParam());
   WorkingMemory wm;
   auto rules = LoadProgram(R"(
 (relation counter (v int))
@@ -215,7 +44,6 @@ TEST_P(DeadlockPolicyEngine, ContendedCounterStaysConsistent) {
   ParallelEngineOptions options;
   options.num_workers = 6;
   options.protocol = protocol;
-  options.deadlock_policy = policy;
   ParallelEngine engine(&wm, rules, options);
   auto result = engine.Run().ValueOrDie();
   EXPECT_EQ(result.stats.firings, 25u);
@@ -227,23 +55,9 @@ TEST_P(DeadlockPolicyEngine, ContendedCounterStaysConsistent) {
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, DeadlockPolicyEngine,
     ::testing::Combine(::testing::Values(LockProtocol::kTwoPhase,
-                                         LockProtocol::kRcRaWa),
-                       ::testing::Values(DeadlockPolicy::kDetect,
-                                         DeadlockPolicy::kWoundWait,
-                                         DeadlockPolicy::kNoWait)),
+                                         LockProtocol::kRcRaWa)),
     [](const auto& info) {
-      std::string name =
-          std::get<0>(info.param) == LockProtocol::kTwoPhase ? "TwoPhase"
-                                                             : "RcRaWa";
-      switch (std::get<1>(info.param)) {
-        case DeadlockPolicy::kDetect:
-          return name + "Detect";
-        case DeadlockPolicy::kWoundWait:
-          return name + "WoundWait";
-        case DeadlockPolicy::kNoWait:
-          return name + "NoWait";
-      }
-      return name;
+      return ProtocolName(std::get<0>(info.param)) + "Detect";
     });
 
 // --- mixed rule-firing + external-transaction deadlocks ----------------
@@ -252,10 +66,11 @@ INSTANTIATE_TEST_SUITE_P(
 // directions: the `respond` firing holds Wa on a req tuple and needs an
 // insert intent into `ack`, while a client holds relation Rc on `ack`
 // (repeatable read) and then needs relation Rc on `req` — a cycle across
-// the rule/client boundary whenever the timing lines up. Under kWoundWait
-// one side is wounded and retried; under kNoWait the requester is
-// refused and retried. Either way every transaction must eventually get
-// through and the log must stay replayable.
+// the rule/client boundary whenever the timing lines up. The requester
+// that would close the cycle is refused with kDeadlock and retried (a
+// firing by its worker, a client transaction by Session::Perform); every
+// transaction must eventually get through and the log must stay
+// replayable.
 
 constexpr const char* kMixedDeadlockProgram = R"(
 (relation req (id int))
@@ -270,11 +85,10 @@ constexpr const char* kMixedDeadlockProgram = R"(
 )";
 
 class MixedDeadlockTest
-    : public ::testing::TestWithParam<std::tuple<LockProtocol,
-                                                 DeadlockPolicy>> {};
+    : public ::testing::TestWithParam<std::tuple<LockProtocol>> {};
 
 TEST_P(MixedDeadlockTest, ClientsAndFiringsResolveCrossBoundaryCycles) {
-  auto [protocol, policy] = GetParam();
+  const LockProtocol protocol = std::get<0>(GetParam());
   constexpr size_t kClients = 3;
   constexpr uint64_t kTxnsPerClient = 8;
 
@@ -288,7 +102,6 @@ TEST_P(MixedDeadlockTest, ClientsAndFiringsResolveCrossBoundaryCycles) {
   ParallelEngineOptions options;
   options.num_workers = 4;
   options.protocol = protocol;
-  options.deadlock_policy = policy;
   options.external_source = &manager;
   ParallelEngine engine(&wm, rules, options);
   manager.BindEngine(&engine);
@@ -354,17 +167,9 @@ TEST_P(MixedDeadlockTest, ClientsAndFiringsResolveCrossBoundaryCycles) {
 INSTANTIATE_TEST_SUITE_P(
     Policies, MixedDeadlockTest,
     ::testing::Combine(::testing::Values(LockProtocol::kTwoPhase,
-                                         LockProtocol::kRcRaWa),
-                       ::testing::Values(DeadlockPolicy::kWoundWait,
-                                         DeadlockPolicy::kNoWait)),
+                                         LockProtocol::kRcRaWa)),
     [](const auto& info) {
-      std::string name =
-          std::get<0>(info.param) == LockProtocol::kTwoPhase ? "TwoPhase"
-                                                             : "RcRaWa";
-      name += std::get<1>(info.param) == DeadlockPolicy::kWoundWait
-                  ? "WoundWait"
-                  : "NoWait";
-      return name;
+      return ProtocolName(std::get<0>(info.param)) + "Detect";
     });
 
 }  // namespace

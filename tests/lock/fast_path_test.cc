@@ -24,12 +24,12 @@ LockObjectId RelationLock(SymbolId relation) {
   return LockObjectId{relation, kRelationLevel};
 }
 
-LockManager::Options Opts(LockProtocol protocol,
-                          DeadlockPolicy policy = DeadlockPolicy::kDetect) {
+LockManager::Options Opts(
+    LockProtocol protocol,
+    std::chrono::milliseconds wait_timeout = std::chrono::milliseconds(2000)) {
   LockManager::Options options;
   options.protocol = protocol;
-  options.deadlock_policy = policy;
-  options.wait_timeout = std::chrono::milliseconds(2000);
+  options.wait_timeout = wait_timeout;
   return options;
 }
 
@@ -181,13 +181,15 @@ TEST(FastPath, RelationGuardRoutesTupleAcquiresSlow) {
 TEST(FastPath, FastGrantCannotBypassARelationLevelWa) {
   // Hierarchy safety end to end: with a relation-level Wa outstanding, a
   // tuple Rc in that relation must reach the slow path's hierarchy check
-  // and be refused (kNoWait) rather than sneak through the fast path.
-  LockManager lm(Opts(LockProtocol::kTwoPhase, DeadlockPolicy::kNoWait));
+  // and wait there (until a short timeout) rather than sneak through the
+  // fast path.
+  LockManager lm(
+      Opts(LockProtocol::kTwoPhase, std::chrono::milliseconds(20)));
   const SymbolId rel = Sym("fp-hier");
   TxnId writer = lm.Begin(), reader = lm.Begin();
   ASSERT_TRUE(lm.Acquire(writer, RelationLock(rel), LockMode::kWa).ok());
   Status st = lm.Acquire(reader, Tuple(rel, 1), LockMode::kRc);
-  EXPECT_TRUE(st.IsDeadlock()) << st.ToString();
+  EXPECT_TRUE(st.IsLockTimeout()) << st.ToString();
   EXPECT_EQ(lm.GetStats().fast_path_grants, 0u);
   lm.Release(reader);
   lm.Release(writer);
@@ -231,42 +233,32 @@ TEST(FastPath, HolderTableOverflowFallsBackAndRecovers) {
   EXPECT_EQ(lm.live_transactions(), 0u);
 }
 
-// --- deadlock policies engage only on the slow path -----------------------
+// --- deadlock detection engages only on the slow path --------------------
 
-TEST(FastPath, WoundWaitWoundsAFastHolder) {
-  LockManager lm(Opts(LockProtocol::kTwoPhase, DeadlockPolicy::kWoundWait));
-  const SymbolId rel = Sym("fp-wound");
-  TxnId older = lm.Begin(), younger = lm.Begin();
-  ASSERT_LT(older, younger);
-  // The younger transaction's hold is a pure fast grant...
-  ASSERT_TRUE(lm.Acquire(younger, Tuple(rel, 1), LockMode::kWa).ok());
-  ASSERT_EQ(lm.GetStats().fast_path_grants, 1u);
+TEST(FastPath, DetectionRefusesACycleThroughAFastHolder) {
+  LockManager lm(Opts(LockProtocol::kTwoPhase));
+  const SymbolId rel = Sym("fp-cycle");
+  TxnId first = lm.Begin(), second = lm.Begin();
+  // Both holds are pure fast grants...
+  ASSERT_TRUE(lm.Acquire(first, Tuple(rel, 1), LockMode::kWa).ok());
+  ASSERT_TRUE(lm.Acquire(second, Tuple(rel, 2), LockMode::kWa).ok());
+  ASSERT_EQ(lm.GetStats().fast_path_grants, 2u);
 
-  // ...and the older requester's slow path still finds and wounds it.
-  auto older_wait = std::async(std::launch::async, [&] {
-    return lm.Acquire(older, Tuple(rel, 1), LockMode::kWa);
+  // ...yet the slow path still sees them: `first` waits on `second`'s
+  // fast hold, and `second` asking for `first`'s closes the cycle.
+  auto first_wait = std::async(std::launch::async, [&] {
+    return lm.Acquire(first, Tuple(rel, 2), LockMode::kWa);
   });
-  for (int i = 0; i < 200 && !lm.IsAborted(younger); ++i) {
+  for (int i = 0; i < 200 && lm.GetStats().blocked == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_TRUE(lm.IsAborted(younger));
-  lm.Release(younger);
-  ASSERT_TRUE(older_wait.get().ok());
-  EXPECT_GE(lm.GetStats().wounds, 1u);
-  lm.Release(older);
-}
-
-TEST(FastPath, NoWaitRefusesAConflictWithAFastHolder) {
-  LockManager lm(Opts(LockProtocol::kTwoPhase, DeadlockPolicy::kNoWait));
-  const SymbolId rel = Sym("fp-nowait");
-  TxnId holder = lm.Begin(), loser = lm.Begin();
-  ASSERT_TRUE(lm.Acquire(holder, Tuple(rel, 1), LockMode::kWa).ok());
-  ASSERT_EQ(lm.GetStats().fast_path_grants, 1u);
-  Status st = lm.Acquire(loser, Tuple(rel, 1), LockMode::kWa);
+  ASSERT_EQ(lm.GetStats().blocked, 1u);
+  Status st = lm.Acquire(second, Tuple(rel, 1), LockMode::kWa);
   EXPECT_TRUE(st.IsDeadlock()) << st.ToString();
-  EXPECT_GE(lm.GetStats().deadlocks, 1u);
-  lm.Release(holder);
-  lm.Release(loser);
+  EXPECT_EQ(lm.GetStats().deadlocks, 1u);
+  lm.Release(second);  // the victim rolls back; the waiter proceeds
+  EXPECT_TRUE(first_wait.get().ok());
+  lm.Release(first);
 }
 
 // --- concurrency stress (the TSan gate) -----------------------------------

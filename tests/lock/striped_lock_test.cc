@@ -1,5 +1,5 @@
 // Tests specific to the striped lock table: shard routing, cross-shard
-// deadlock handling under every policy, Rc-victim sweeps whose Wa set
+// deadlock detection, Rc-victim sweeps whose Wa set
 // straddles shards, per-shard contention counters, and the buffered
 // trace-sink contract.
 
@@ -25,11 +25,9 @@ LockObjectId RelationLock(SymbolId relation) {
   return LockObjectId{relation, kRelationLevel};
 }
 
-LockManager::Options Opts(LockProtocol protocol, DeadlockPolicy policy,
-                          size_t shards = 8) {
+LockManager::Options Opts(LockProtocol protocol, size_t shards = 8) {
   LockManager::Options options;
   options.protocol = protocol;
-  options.deadlock_policy = policy;
   options.wait_timeout = std::chrono::milliseconds(2000);
   options.num_shards = shards;
   return options;
@@ -53,11 +51,11 @@ std::pair<SymbolId, SymbolId> CrossShardRelations(const LockManager& lm) {
 // --- shard routing -------------------------------------------------------
 
 TEST(StripedLock, ShardCountIsConfigurableAndClamped) {
-  LockManager lm4(Opts(LockProtocol::kRcRaWa, DeadlockPolicy::kDetect, 4));
+  LockManager lm4(Opts(LockProtocol::kRcRaWa, 4));
   EXPECT_EQ(lm4.num_shards(), 4u);
   EXPECT_EQ(lm4.GetStats().shards.size(), 4u);
 
-  LockManager lm0(Opts(LockProtocol::kRcRaWa, DeadlockPolicy::kDetect, 0));
+  LockManager lm0(Opts(LockProtocol::kRcRaWa, 0));
   EXPECT_EQ(lm0.num_shards(), 1u);  // clamped
 
   // Default shard count follows the hardware: concurrency rounded up to
@@ -70,7 +68,7 @@ TEST(StripedLock, ShardCountIsConfigurableAndClamped) {
 }
 
 TEST(StripedLock, AllObjectsOfOneRelationShareAShard) {
-  LockManager lm(Opts(LockProtocol::kRcRaWa, DeadlockPolicy::kDetect));
+  LockManager lm(Opts(LockProtocol::kRcRaWa));
   const SymbolId rel = Sym("routing-rel");
   const size_t shard = lm.ShardOf(RelationLock(rel));
   for (WmeId id = 1; id <= 64; ++id) {
@@ -80,7 +78,7 @@ TEST(StripedLock, AllObjectsOfOneRelationShareAShard) {
 }
 
 TEST(StripedLock, RelationsSpreadAcrossShards) {
-  LockManager lm(Opts(LockProtocol::kRcRaWa, DeadlockPolicy::kDetect));
+  LockManager lm(Opts(LockProtocol::kRcRaWa));
   std::vector<bool> hit(lm.num_shards(), false);
   for (int i = 0; i < 256; ++i) {
     hit[lm.ShardOf(RelationLock(Sym("spread-" + std::to_string(i))))] = true;
@@ -94,10 +92,10 @@ TEST(StripedLock, RelationsSpreadAcrossShards) {
 //
 // The waits-for graph is global even though the lock table is striped;
 // a cycle whose two edges live in two different shards must still be
-// detected / prevented / avoided.
+// detected.
 
 TEST(StripedLock, CrossShardDeadlockDetected) {
-  LockManager lm(Opts(LockProtocol::kTwoPhase, DeadlockPolicy::kDetect));
+  LockManager lm(Opts(LockProtocol::kTwoPhase));
   auto [rel_a, rel_b] = CrossShardRelations(lm);
 
   TxnId t1 = lm.Begin(), t2 = lm.Begin();
@@ -131,53 +129,10 @@ TEST(StripedLock, CrossShardDeadlockDetected) {
   EXPECT_EQ(lm.live_transactions(), 0u);
 }
 
-TEST(StripedLock, CrossShardDeadlockWoundWait) {
-  LockManager lm(Opts(LockProtocol::kTwoPhase, DeadlockPolicy::kWoundWait));
-  auto [rel_a, rel_b] = CrossShardRelations(lm);
-
-  TxnId older = lm.Begin(), younger = lm.Begin();
-  ASSERT_LT(older, younger);
-  ASSERT_TRUE(lm.Acquire(older, Tuple(rel_a, 1), LockMode::kWa).ok());
-  ASSERT_TRUE(lm.Acquire(younger, Tuple(rel_b, 1), LockMode::kWa).ok());
-
-  // Younger waits behind older (in wound-wait a younger requester just
-  // waits), and rolls back as soon as it is wounded — like a real worker.
-  auto younger_wait = std::async(std::launch::async, [&] {
-    Status st = lm.Acquire(younger, Tuple(rel_a, 1), LockMode::kWa);
-    lm.Release(younger);
-    return st;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  // The older requester wounds the younger holder across shards, then
-  // waits for its release.
-  Status older_st = lm.Acquire(older, Tuple(rel_b, 1), LockMode::kWa);
-
-  Status younger_st = younger_wait.get();
-  EXPECT_TRUE(younger_st.IsAborted()) << younger_st.ToString();
-  EXPECT_TRUE(older_st.ok()) << older_st.ToString();
-  EXPECT_GE(lm.GetStats().wounds, 1u);
-  lm.Release(older);
-  EXPECT_EQ(lm.live_transactions(), 0u);
-}
-
-TEST(StripedLock, CrossShardDeadlockNoWait) {
-  LockManager lm(Opts(LockProtocol::kTwoPhase, DeadlockPolicy::kNoWait));
-  auto [rel_a, rel_b] = CrossShardRelations(lm);
-
-  TxnId t1 = lm.Begin(), t2 = lm.Begin();
-  ASSERT_TRUE(lm.Acquire(t1, Tuple(rel_a, 1), LockMode::kWa).ok());
-  ASSERT_TRUE(lm.Acquire(t2, Tuple(rel_b, 1), LockMode::kWa).ok());
-  // Both closing requests refuse immediately — no blocking, no cycle.
-  EXPECT_TRUE(lm.Acquire(t1, Tuple(rel_b, 1), LockMode::kWa).IsDeadlock());
-  EXPECT_TRUE(lm.Acquire(t2, Tuple(rel_a, 1), LockMode::kWa).IsDeadlock());
-  lm.Release(t1);
-  lm.Release(t2);
-}
-
 // --- Rc-victim sweeps straddling shards ---------------------------------
 
 TEST(StripedLock, RcVictimCollectionStraddlesShards) {
-  LockManager lm(Opts(LockProtocol::kRcRaWa, DeadlockPolicy::kDetect));
+  LockManager lm(Opts(LockProtocol::kRcRaWa));
   auto [rel_a, rel_b] = CrossShardRelations(lm);
 
   // Readers: tuple-level Rc in shard A, tuple-level and relation-level Rc
@@ -213,7 +168,7 @@ TEST(StripedLock, RcVictimCollectionStraddlesShards) {
 }
 
 TEST(StripedLock, PerShardCountersAttributeTraffic) {
-  LockManager lm(Opts(LockProtocol::kRcRaWa, DeadlockPolicy::kDetect, 4));
+  LockManager lm(Opts(LockProtocol::kRcRaWa, 4));
   auto [rel_a, rel_b] = CrossShardRelations(lm);
   const size_t shard_a = lm.ShardOf(RelationLock(rel_a));
   const size_t shard_b = lm.ShardOf(RelationLock(rel_b));
@@ -241,7 +196,7 @@ TEST(StripedLock, PerShardCountersAttributeTraffic) {
 }
 
 TEST(StripedLock, ShardWaitCountersCountBlockedAcquires) {
-  LockManager lm(Opts(LockProtocol::kTwoPhase, DeadlockPolicy::kDetect));
+  LockManager lm(Opts(LockProtocol::kTwoPhase));
   const SymbolId rel = Sym("wait-counter-rel");
   const size_t shard = lm.ShardOf(RelationLock(rel));
 
@@ -271,8 +226,7 @@ TEST(StripedLock, TraceSinkMayReenterTheManager) {
   std::mutex sink_mu;
   std::vector<LockEvent> events;
 
-  LockManager::Options options =
-      Opts(LockProtocol::kRcRaWa, DeadlockPolicy::kDetect);
+  LockManager::Options options = Opts(LockProtocol::kRcRaWa);
   options.trace = [&](const LockEvent& event) {
     // Reentrancy: query the manager from inside the sink.
     if (manager != nullptr) {
@@ -309,8 +263,10 @@ TEST(StripedLock, ConcurrentTrafficWithReentrantSink) {
   LockManager* manager = nullptr;
   std::atomic<uint64_t> observed{0};
 
-  LockManager::Options options =
-      Opts(LockProtocol::kRcRaWa, DeadlockPolicy::kNoWait);
+  // A short wait: a conflicting request gives up with kLockTimeout
+  // instead of holding its thread for the default 2 s.
+  LockManager::Options options = Opts(LockProtocol::kRcRaWa);
+  options.wait_timeout = std::chrono::milliseconds(5);
   options.trace = [&](const LockEvent& event) {
     if (manager != nullptr) (void)manager->IsAborted(event.txn);
     observed.fetch_add(1, std::memory_order_relaxed);

@@ -181,12 +181,49 @@ TEST(ConflictResolution, PriorityWins) {
 
 TEST(ConflictResolution, FifoPrefersOldestActivation) {
   ConflictSet cs;
-  InstPtr first = MakeInst(MakeRule("r"), 1, 50);
+  InstPtr first = MakeInst(MakeRule("r"), 2, 50);
   cs.Activate(first);
-  cs.Activate(MakeInst(MakeRule("r"), 2, 1));
+  cs.BeginPropagation();
+  cs.Activate(MakeInst(MakeRule("r"), 1, 1));
   Random rng(1);
   InstPtr selected = cs.Claim(ConflictResolution::kFifo, &rng);
   EXPECT_EQ(selected->key(), first->key());
+}
+
+TEST(ConflictResolution, FifoBreaksTiesWithinAPropagationByKeyText) {
+  // One propagation's activations arrive in whatever order the matcher's
+  // containers yield them; the lower key text goes first either way.
+  for (bool reversed : {false, true}) {
+    ConflictSet cs;
+    InstPtr low = MakeInst(MakeRule("r"), 1, 50);
+    InstPtr high = MakeInst(MakeRule("r"), 2, 1);
+    cs.BeginPropagation();
+    cs.Activate(reversed ? high : low);
+    cs.Activate(reversed ? low : high);
+    Random rng(1);
+    InstPtr selected = cs.Claim(ConflictResolution::kFifo, &rng);
+    EXPECT_EQ(selected->key(), low->key()) << "reversed=" << reversed;
+  }
+}
+
+TEST(ConflictResolution, RandomPickIgnoresActivationOrder) {
+  // The same candidates activated in two different orders: the same
+  // seed picks the same sequence.
+  auto run = [](bool reversed) {
+    ConflictSet cs;
+    RulePtr rule = MakeRule("r");
+    for (WmeId i = 1; i <= 10; ++i) {
+      const WmeId id = reversed ? 11 - i : i;
+      cs.Activate(MakeInst(rule, id, id));
+    }
+    Random rng(5);
+    std::vector<std::string> order;
+    while (InstPtr inst = cs.Claim(ConflictResolution::kRandom, &rng)) {
+      order.push_back(inst->key().ToString());
+    }
+    return order;
+  };
+  EXPECT_EQ(run(false), run(true));
 }
 
 TEST(ConflictResolution, RandomIsSeedDeterministic) {
@@ -275,9 +312,10 @@ TEST(ConflictSet, ReactivatedWhileClaimedStaysClaimed) {
 /// list, with SelectDominant over the eligible candidates as the oracle.
 class ReferenceConflictSet {
  public:
+  void BeginPropagation() { ++propagation_; }
   void Activate(const InstPtr& inst) {
     if (active_.count(inst->key().ToString()) != 0) return;
-    active_[inst->key().ToString()] = {inst, next_seq_++};
+    active_[inst->key().ToString()] = {inst, propagation_};
   }
   void Deactivate(const InstKey& key) { active_.erase(key.ToString()); }
   void EndClaim(const InstKey& key) {
@@ -340,7 +378,7 @@ class ReferenceConflictSet {
 
   std::map<std::string, std::pair<InstPtr, uint64_t>> active_;
   std::vector<InstPtr> claims_;
-  uint64_t next_seq_ = 0;
+  uint64_t propagation_ = 0;
 };
 
 TEST(ConflictSetProperty, OrderedClaimMatchesSelectDominant) {
@@ -419,6 +457,9 @@ TEST(ConflictSetProperty, OrderedClaimMatchesSelectDominant) {
           ref.EndClaim(key);
           ref.Deactivate(key);
         }
+      } else if (op == 9) {
+        cs.BeginPropagation();
+        ref.BeginPropagation();
       }
       ASSERT_EQ(cs.size(), ref.size());
       ASSERT_EQ(cs.num_claimed(), ref.num_claimed());

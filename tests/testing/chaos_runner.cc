@@ -51,10 +51,8 @@ ParallelEngineOptions EngineOptionsFor(const ChaosOptions& options) {
   eo.num_workers = options.num_workers;
   eo.protocol = options.protocol;
   eo.abort_policy = options.abort_policy;
-  eo.deadlock_policy = options.deadlock_policy;
   eo.commit_batch_limit = options.commit_batch_limit;
   eo.base.matcher = options.matcher;
-  eo.adaptive_batch_limit = options.adaptive_batch_limit;
   eo.audit_every = options.audit_every;
   return eo;
 }

@@ -82,7 +82,6 @@ struct ChaosOptions {
   ChaosWorkload workload = ChaosWorkload::kMultiUser;
   LockProtocol protocol = LockProtocol::kRcRaWa;
   AbortPolicy abort_policy = AbortPolicy::kAbort;
-  DeadlockPolicy deadlock_policy = DeadlockPolicy::kDetect;
   /// Seeds the failpoint registry AND the engine/workload PRNGs, so a
   /// failing trial reproduces from its printed seed alone.
   uint64_t seed = 1;
@@ -94,8 +93,6 @@ struct ChaosOptions {
   /// firing the trial's matcher selected must be a Rete instantiation
   /// with the identical delta.
   MatcherKind matcher = MatcherKind::kRete;
-  /// Self-tune the commit batch limit from observed saturation/stall.
-  bool adaptive_batch_limit = false;
   /// Sample audit evidence onto every Nth journal line (1 = every line).
   uint64_t audit_every = 1;
   /// Commit-sequencer fold limit (1 disables batching). The chaos

@@ -56,6 +56,12 @@
 #                                       # for the race check:
 #                                       # DBPS_SANITIZE=thread \
 #                                       #   DBPS_TIER=engine tools/check.sh
+#   DBPS_TIER=stress tools/check.sh     # stress tier: the whole tier-1
+#                                       # suite (ctest -j nproc) while
+#                                       # exactly nproc busy loops keep
+#                                       # every core loaded; the loops
+#                                       # are killed on exit. Tier-1 must
+#                                       # stay green under CPU load
 #   DBPS_TIER=audit tools/check.sh      # consistency-audit tier: the
 #                                       # auditor unit suite, the mutation
 #                                       # harness (every injected violation
@@ -254,11 +260,27 @@ elif [ "$TIER" = "matcher" ]; then
 elif [ "$TIER" = "engine" ]; then
   # Engine tier: every suite whose outcome depends on thread schedules —
   # claims and their footprints, commit batching, Rc–Wa victims, lock
-  # waits, wound-wait and wake-ups — repeated to shake out rare ones.
+  # waits and wake-ups — repeated to shake out rare ones.
   ctest --test-dir "$BUILD_DIR" -j 4 --output-on-failure \
     --repeat until-fail:20 \
     -R '^([A-Za-z]+/)?(ParallelEngine|InterferenceAwareClaim|ConflictSet|ConflictResolution|CommitBatching|LockManager|LockCompatibility|LockTimeout|DeadlockPolicy|MixedDeadlock|StripedLock|FastPath|Escalation|ChaosStarvation)'
   echo "engine tier passed"
+elif [ "$TIER" = "stress" ]; then
+  # Stress tier: tier-1 with every core busy, so test threads lose their
+  # cores at arbitrary points (the abort-streak escalation race showed
+  # only under load). One busy loop per core, never more; the EXIT trap
+  # kills them whether ctest passes or fails.
+  NPROC="$(nproc 2>/dev/null || echo 4)"
+  BUSY_PIDS=""
+  trap 'kill $BUSY_PIDS 2>/dev/null || true' EXIT
+  i=0
+  while [ "$i" -lt "$NPROC" ]; do
+    (while :; do :; done) &
+    BUSY_PIDS="$BUSY_PIDS $!"
+    i=$((i + 1))
+  done
+  ctest --test-dir "$BUILD_DIR" -j "$NPROC" --output-on-failure
+  echo "stress tier passed"
 elif [ "$TIER" = "audit" ]; then
   # Consistency-audit tier: the auditor's own suites (unit, mutation
   # harness, adversarial workload families) plus the cli_audit smoke.

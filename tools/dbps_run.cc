@@ -15,7 +15,6 @@
 //                                     disables batching)
 //   --protocol=2pl|rcrawa             lock protocol (rcrawa)
 //   --abort-policy=abort|revalidate   Rc–Wa settlement policy (abort)
-//   --deadlock=detect|wound-wait|no-wait   deadlock handling (detect)
 //   --strategy=priority|lex|mea|fifo|random conflict resolution (priority)
 //   --seed=N                          PRNG seed (42)
 //   --max-firings=N                   safety cap (100000)
@@ -59,9 +58,6 @@
 //                                     of one per commit
 //   --checkpoint-every=N              write a snapshot checkpoint record
 //                                     into the WAL every N commits
-//   --adaptive-batch                  self-tune the commit batch limit
-//                                     from observed saturation and
-//                                     sequencer stall
 //   --audit-every=N                   emit full audit evidence only on
 //                                     every Nth commit (1 = every commit);
 //                                     the auditor treats unaudited lines
@@ -81,6 +77,7 @@
 
 #include "dbps.h"
 #include "engine/busy_work.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -93,7 +90,6 @@ struct Flags {
   size_t commit_batch = 8;
   LockProtocol protocol = LockProtocol::kRcRaWa;
   AbortPolicy abort_policy = AbortPolicy::kAbort;
-  DeadlockPolicy deadlock_policy = DeadlockPolicy::kDetect;
   ConflictResolution strategy = ConflictResolution::kPriority;
   uint64_t seed = 42;
   uint64_t max_firings = 100000;
@@ -110,7 +106,6 @@ struct Flags {
   bool chaos = false;
   uint64_t chaos_seed = 0;
   double fail_rate = 0.05;
-  bool adaptive_batch = false;
   uint64_t audit_every = 1;
   std::string journal_dir;
   bool recover = false;
@@ -127,7 +122,6 @@ int Usage(const char* argv0) {
                "usage: %s [--engine=single|parallel|static] [--workers=N]\n"
                "  [--lock-shards=N] [--commit-batch=N]\n"
                "  [--protocol=2pl|rcrawa] [--abort-policy=abort|revalidate]\n"
-               "  [--deadlock=detect|wound-wait|no-wait]\n"
                "  [--strategy=priority|lex|mea|fifo|random] [--seed=N]\n"
                "  [--max-firings=N] [--matcher=rete|naive|treat]\n"
                "  [--cost-model=sleep|spin] [--trace] [--validate]\n"
@@ -138,7 +132,7 @@ int Usage(const char* argv0) {
                "  [--chaos-seed=N] [--fail-rate=P] [--quiet]\n"
                "  [--journal-dir=DIR] [--recover] [--group-commit]\n"
                "  [--checkpoint-every=N]\n"
-               "  [--adaptive-batch] [--audit-every=N]\n"
+               "  [--audit-every=N]\n"
                "  <program.dbps>\n",
                argv0);
   return 2;
@@ -197,17 +191,6 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       } else {
         return Status::InvalidArgument("unknown abort policy '" + value +
                                        "'");
-      }
-    } else if (ParseFlag(arg, "deadlock", &value)) {
-      if (value == "detect") {
-        flags.deadlock_policy = DeadlockPolicy::kDetect;
-      } else if (value == "wound-wait") {
-        flags.deadlock_policy = DeadlockPolicy::kWoundWait;
-      } else if (value == "no-wait") {
-        flags.deadlock_policy = DeadlockPolicy::kNoWait;
-      } else {
-        return Status::InvalidArgument("unknown deadlock policy '" +
-                                       value + "'");
       }
     } else if (ParseFlag(arg, "strategy", &value)) {
       if (value == "priority") {
@@ -274,8 +257,6 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       if (flags.fail_rate < 0.0 || flags.fail_rate > 1.0) {
         return Status::InvalidArgument("--fail-rate must be in [0,1]");
       }
-    } else if (arg == "--adaptive-batch") {
-      flags.adaptive_batch = true;
     } else if (ParseFlag(arg, "audit-every", &value)) {
       flags.audit_every = std::stoull(value);
     } else if (!arg.empty() && arg[0] == '-') {
@@ -345,7 +326,8 @@ StatusOr<RunResult> ServeSessions(const Flags& flags, WorkingMemory* wm,
                                   RuleSetPtr rules,
                                   ParallelEngineOptions options,
                                   JournalFeed* durable_feed,
-                                  ServerStats* server_stats) {
+                                  ServerStats* server_stats,
+                                  LockManager::Stats* lock_stats) {
   SymbolId target;
   if (!flags.client_relation.empty()) {
     target = Sym(flags.client_relation);
@@ -403,11 +385,30 @@ StatusOr<RunResult> ServeSessions(const Flags& flags, WorkingMemory* wm,
   manager.Close();
   serve.join();
   *server_stats = manager.GetStats();
+  *lock_stats = engine.lock_stats();
   if (failures.load() > 0 && !flags.quiet) {
     std::fprintf(stderr, "warning: %llu client transaction(s) never "
                  "committed\n", (unsigned long long)failures.load());
   }
   return result;
+}
+
+/// The lock table's per-shard contention, summed: appended to the
+/// parallel engine's summary line (empty for the serial engines).
+std::string LockShardSummary(const LockManager::Stats& stats) {
+  if (stats.shards.empty()) return "";
+  uint64_t waits = 0, contentions = 0;
+  for (const LockManager::ShardStats& shard : stats.shards) {
+    waits += shard.waits;
+    contentions += shard.mutex_contentions;
+  }
+  return StringPrintf(" lock_shards=%zu shard_waits=%llu "
+                      "shard_mutex_contentions=%llu fast_path_grants=%llu "
+                      "fast_path_cas_retries=%llu",
+                      stats.shards.size(), (unsigned long long)waits,
+                      (unsigned long long)contentions,
+                      (unsigned long long)stats.fast_path_grants,
+                      (unsigned long long)stats.fast_path_cas_retries);
 }
 
 StatusOr<std::string> ReadFile(const std::string& path) {
@@ -489,6 +490,7 @@ int Run(const Flags& flags) {
 
   StatusOr<RunResult> result_or{Status::Internal("engine not run")};
   ServerStats server_stats;
+  LockManager::Stats lock_stats;  // parallel engine only
   if (flags.engine == "single") {
     SingleThreadEngine engine(&wm, rules, base);
     result_or = engine.Run();
@@ -500,9 +502,7 @@ int Run(const Flags& flags) {
     options.commit_batch_limit = flags.commit_batch;
     options.protocol = flags.protocol;
     options.abort_policy = flags.abort_policy;
-    options.deadlock_policy = flags.deadlock_policy;
     options.start_seq = start_seq;
-    options.adaptive_batch_limit = flags.adaptive_batch;
     options.audit_every = flags.audit_every;
     JournalFeed* durable = nullptr;
     if (!flags.journal_dir.empty()) {
@@ -510,11 +510,12 @@ int Run(const Flags& flags) {
       options.base.observer = feed.MakeObserver(base.observer);
     }
     if (flags.sessions > 0) {
-      result_or =
-          ServeSessions(flags, &wm, rules, options, durable, &server_stats);
+      result_or = ServeSessions(flags, &wm, rules, options, durable,
+                                &server_stats, &lock_stats);
     } else {
       ParallelEngine engine(&wm, rules, options);
       result_or = engine.Run();
+      lock_stats = engine.lock_stats();
     }
   } else {
     StaticPartitionOptions options;
@@ -543,8 +544,9 @@ int Run(const Flags& flags) {
     }
   }
   if (!flags.quiet) {
-    std::printf("%s engine: %s\n", flags.engine.c_str(),
-                result.stats.ToString().c_str());
+    std::printf("%s engine: %s%s\n", flags.engine.c_str(),
+                result.stats.ToString().c_str(),
+                LockShardSummary(lock_stats).c_str());
     if (flags.sessions > 0) {
       std::printf(
           "sessions: admitted=%llu peak=%zu txns=%llu commits=%llu "
