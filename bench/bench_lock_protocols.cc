@@ -2,12 +2,15 @@
 // centralized lock manager's primitive operations under both protocols —
 // the "minor modifications to conventional lock managers" the paper
 // claims (§6). Before the microbenchmarks run, main() prints an
-// abort-storm report: the §4.3 livelock (a hot relation-level Rc under
-// continuous writers) with blocking escalation off vs on, showing the
-// engine's robustness counters.
+// uncontended fast-path sweep and an abort-storm report: the §4.3
+// livelock (a hot relation-level Rc under continuous writers) with
+// blocking escalation off vs on, showing the engine's robustness
+// counters. Each report row is timed `--reps=N` times (default 5) and
+// records the median wall time with its min and max.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -137,46 +140,55 @@ BENCHMARK(BM_RelationEscalationCheck)->Arg(4)->Arg(64);
 // complete on the CAS fast path; the check.sh bench tier fails the run
 // if fast_path_grants stays zero here.
 
-void PrintUncontendedSweepReport(bench::JsonReport* report) {
+/// Share of all grants that completed on the CAS fast path, percent.
+double FastHitPct(const LockManager::Stats& stats) {
+  return stats.acquired == 0
+             ? 0.0
+             : 100.0 * stats.fast_path_grants / stats.acquired;
+}
+
+void PrintUncontendedSweepReport(size_t reps, bench::JsonReport* report) {
   constexpr uint64_t kTxns = 20000;
   std::printf("uncontended sweep: %llu txns x {Rc,Ra,Wa} on distinct "
-              "tuples, 1 thread\n",
-              (unsigned long long)kTxns);
-  std::printf("  %-10s %10s %12s %12s %9s %9s\n", "protocol", "wall_ms",
+              "tuples, 1 thread, median (min-max) of %zu runs\n",
+              (unsigned long long)kTxns, reps);
+  std::printf("  %-10s %24s %12s %12s %9s %9s\n", "protocol", "wall_ms",
               "grants", "fast_grants", "fast%", "cas_retry");
   for (LockProtocol protocol :
        {LockProtocol::kTwoPhase, LockProtocol::kRcRaWa}) {
     const char* name =
         protocol == LockProtocol::kTwoPhase ? "2pl" : "rcrawa";
-    LockManager lm(Opts(protocol));
-    SymbolId relation = Sym("r");
-    Stopwatch stopwatch;
-    for (uint64_t i = 0; i < kTxns; ++i) {
-      TxnId txn = lm.Begin();
-      DBPS_CHECK_OK(lm.Acquire(txn, {relation, 1}, LockMode::kRc));
-      DBPS_CHECK_OK(lm.Acquire(txn, {relation, 2}, LockMode::kRa));
-      DBPS_CHECK_OK(lm.Acquire(txn, {relation, 3}, LockMode::kWa));
-      lm.Release(txn);
+    std::vector<double> walls;
+    LockManager::Stats stats;
+    for (size_t rep = 0; rep < reps; ++rep) {
+      LockManager lm(Opts(protocol));
+      SymbolId relation = Sym("r");
+      Stopwatch stopwatch;
+      for (uint64_t i = 0; i < kTxns; ++i) {
+        TxnId txn = lm.Begin();
+        DBPS_CHECK_OK(lm.Acquire(txn, {relation, 1}, LockMode::kRc));
+        DBPS_CHECK_OK(lm.Acquire(txn, {relation, 2}, LockMode::kRa));
+        DBPS_CHECK_OK(lm.Acquire(txn, {relation, 3}, LockMode::kWa));
+        lm.Release(txn);
+      }
+      walls.push_back(stopwatch.ElapsedSeconds() * 1e3);
+      // Single-threaded and uncontended: every rep's counters are equal.
+      stats = lm.GetStats();
     }
-    const double wall_ms = stopwatch.ElapsedSeconds() * 1e3;
-    LockManager::Stats stats = lm.GetStats();
-    const double hit_pct =
-        stats.acquired == 0
-            ? 0.0
-            : 100.0 * stats.fast_path_grants / stats.acquired;
-    std::printf("  %-10s %10.1f %12llu %12llu %8.1f%% %9llu\n", name,
-                wall_ms, (unsigned long long)stats.acquired,
-                (unsigned long long)stats.fast_path_grants, hit_pct,
-                (unsigned long long)stats.fast_path_cas_retries);
     bench::JsonRow row;
     row.workload = "uncontended_sweep";
     row.threads = 1;
     row.protocol = name;
-    row.wall_ms = wall_ms;
+    row.SetWallSamples(walls);
     row.aborts = 0;
     row.committed = kTxns;
     row.fast_path_grants = stats.fast_path_grants;
-    row.fast_hit_pct = hit_pct;
+    row.fast_hit_pct = FastHitPct(stats);
+    std::printf("  %-10s %8.1f (%6.1f-%6.1f) %12llu %12llu %8.1f%% %9llu\n",
+                name, row.wall_ms, row.wall_ms_min, row.wall_ms_max,
+                (unsigned long long)stats.acquired,
+                (unsigned long long)stats.fast_path_grants, row.fast_hit_pct,
+                (unsigned long long)stats.fast_path_cas_retries);
     report->Add(row);
   }
   std::printf("\n");
@@ -261,19 +273,37 @@ EngineStats RunAbortStorm(int escalate_after, size_t workers,
   return result.ValueOrDie().stats;
 }
 
-void PrintAbortStormReport(bench::JsonReport* report) {
+void PrintAbortStormReport(size_t reps, bench::JsonReport* report) {
   const size_t workers = bench::MaxBenchThreads(4);
   std::printf(
       "abort-storm: hot relation-level Rc vs continuous writers "
-      "(kRcRaWa+kAbort, %zu workers)\n",
-      workers);
-  std::printf("  %-22s %8s %8s %8s %10s %10s %12s\n", "escalation", "firings",
-              "aborts", "retries", "maxstreak", "escalated", "backoff_us");
+      "(kRcRaWa+kAbort, %zu workers), the median-wall run of %zu\n",
+      workers, reps);
+  std::printf("  %-22s %8s %8s %8s %10s %10s %12s %24s\n", "escalation",
+              "firings", "aborts", "retries", "maxstreak", "escalated",
+              "backoff_us", "wall_ms");
   for (int escalate_after : {0, 2}) {
-    double wall_ms = 0;
-    LockManager::Stats lock_stats;
-    EngineStats stats =
-        RunAbortStorm(escalate_after, workers, &wall_ms, &lock_stats);
+    // Counters vary from run to run; the row reports the median-wall
+    // run's next to the wall time's median, min and max.
+    struct Run {
+      double wall_ms = 0;
+      EngineStats stats;
+      LockManager::Stats lock_stats;
+    };
+    std::vector<Run> runs(reps);
+    std::vector<double> walls;
+    for (Run& run : runs) {
+      run.stats = RunAbortStorm(escalate_after, workers, &run.wall_ms,
+                                &run.lock_stats);
+      walls.push_back(run.wall_ms);
+    }
+    std::sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
+      return a.wall_ms < b.wall_ms;
+    });
+    const EngineStats& stats = runs[runs.size() / 2].stats;
+    const LockManager::Stats& lock_stats = runs[runs.size() / 2].lock_stats;
+    bench::JsonRow row;
+    row.SetWallSamples(walls);
     char label[32];
     if (escalate_after == 0) {
       std::snprintf(label, sizeof(label), "off");
@@ -281,30 +311,23 @@ void PrintAbortStormReport(bench::JsonReport* report) {
       std::snprintf(label, sizeof(label), "after %d aborts",
                     escalate_after);
     }
-    std::printf("  %-22s %8llu %8llu %8llu %10llu %10llu %12llu\n", label,
-                (unsigned long long)stats.firings,
-                (unsigned long long)stats.aborts,
-                (unsigned long long)stats.firing_retries,
-                (unsigned long long)stats.max_abort_streak,
-                (unsigned long long)stats.escalations,
-                (unsigned long long)stats.backoff_micros);
-    bench::JsonRow row;
+    std::printf(
+        "  %-22s %8llu %8llu %8llu %10llu %10llu %12llu %8.1f (%6.1f-%6.1f)\n",
+        label, (unsigned long long)stats.firings,
+        (unsigned long long)stats.aborts,
+        (unsigned long long)stats.firing_retries,
+        (unsigned long long)stats.max_abort_streak,
+        (unsigned long long)stats.escalations,
+        (unsigned long long)stats.backoff_micros, row.wall_ms,
+        row.wall_ms_min, row.wall_ms_max);
     row.workload = escalate_after == 0 ? "abort_storm_no_escalation"
                                        : "abort_storm_escalation";
     row.threads = workers;
     row.protocol = "rcrawa";
-    row.wall_ms = wall_ms;
     row.aborts = stats.aborts;
     row.committed = stats.firings;
     row.fast_path_grants = lock_stats.fast_path_grants;
-    uint64_t slow_grants = 0;
-    for (const LockManager::ShardStats& shard : lock_stats.shards) {
-      slow_grants += shard.acquires;
-    }
-    const uint64_t total_grants = row.fast_path_grants + slow_grants;
-    row.fast_hit_pct = total_grants == 0
-                           ? 0.0
-                           : 100.0 * row.fast_path_grants / total_grants;
+    row.fast_hit_pct = FastHitPct(lock_stats);
     row.batched_commits = stats.batched_commits;
     report->Add(row);
   }
@@ -315,9 +338,10 @@ void PrintAbortStormReport(bench::JsonReport* report) {
 }  // namespace dbps
 
 int main(int argc, char** argv) {
+  const size_t reps = dbps::bench::TakeRepsFlag(&argc, argv, 5);
   dbps::bench::JsonReport report("lock_protocols");
-  dbps::PrintUncontendedSweepReport(&report);
-  dbps::PrintAbortStormReport(&report);
+  dbps::PrintUncontendedSweepReport(reps, &report);
+  dbps::PrintAbortStormReport(reps, &report);
   report.WriteIfRequested();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -51,7 +51,7 @@ struct Outcome {
   uint64_t firings = 0;
   uint64_t rule_aborts = 0;
   uint64_t fast_path_grants = 0;  // lock grants on the CAS fast path
-  uint64_t slow_path_grants = 0;  // grants under the shard mutex
+  uint64_t slow_path_grants = 0;  // grants under the table mutex
   uint64_t batched_commits = 0;   // commits folded into multi-commit batches
   int peak_parallel = 0;
   bool valid = false;
@@ -133,10 +133,9 @@ Outcome Run(size_t workers, LockProtocol protocol) {
   out.rc_victims = stats.closed_sessions.rc_victim_aborts;
   out.firings = run.stats.firings;
   out.rule_aborts = run.stats.aborts;
-  out.fast_path_grants = engine.lock_stats().fast_path_grants;
-  for (const LockManager::ShardStats& shard : engine.lock_stats().shards) {
-    out.slow_path_grants += shard.acquires;
-  }
+  const LockManager::Stats& lock_stats = engine.lock_stats();
+  out.fast_path_grants = lock_stats.fast_path_grants;
+  out.slow_path_grants = lock_stats.acquired - lock_stats.fast_path_grants;
   out.batched_commits = run.stats.batched_commits;
   out.peak_parallel = run.stats.peak_parallel_executions;
   out.latency = std::move(latency);

@@ -260,7 +260,6 @@ StatusOr<RunResult> ParallelEngine::Run() {
   LockManager::Options lock_options;
   lock_options.protocol = options_.protocol;
   lock_options.wait_timeout = options_.lock_timeout;
-  lock_options.num_shards = options_.num_lock_shards;
   lock_manager_ = std::make_unique<LockManager>(lock_options);
   // The release store publishes matcher_/lock_manager_ to client threads
   // observing accepting_external().
@@ -549,7 +548,7 @@ int ParallelEngine::ProcessFiring(const InstPtr& inst, Random* rng) {
     pending.key = &key;
     pending.delta = &delta;
     {
-      // Take a ticket, then overlap the per-shard Rc–Wa victim sweep and
+      // Take a ticket, then overlap the Rc–Wa victim sweep and
       // the write-set extraction with earlier commits still applying. The
       // sweep is stable outside any global section: this transaction
       // holds its Wa locks, so no new conflicting Rc can be granted until

@@ -24,8 +24,8 @@
 // abort only those whose instantiation the commit actually invalidated.
 //
 // The commit sequencer replaces the old engine-mutex commit. A committer
-// (a) takes a ticket (one atomic increment), (b) sweeps the striped lock
-// table for Rc–Wa victims while earlier tickets are still applying — the
+// (a) takes a ticket (one atomic increment), (b) sweeps the lock table
+// for Rc–Wa victims while earlier tickets are still applying — the
 // sweep is stable outside any global section because the committer holds
 // its Wa locks, so no NEW conflicting Rc can be granted — then (c)
 // submits its delta to the sequencer. The committer holding the turn is
@@ -101,9 +101,6 @@ class ExternalSource {
 struct ParallelEngineOptions {
   EngineOptions base;
   size_t num_workers = 4;  ///< the paper's Np
-  /// Shards of the striped lock table (see LockManager::Options); sized
-  /// from the hardware by default (DefaultNumLockShards).
-  size_t num_lock_shards = DefaultNumLockShards();
   /// Most commits the head-of-ticket-order committer may fold into one
   /// ordered batch (apply + matcher propagation amortized across the
   /// batch; the log keeps the per-ticket order either way). 1 disables

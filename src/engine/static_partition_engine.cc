@@ -34,30 +34,9 @@ StatusOr<RunResult> StaticPartitionEngine::Run() {
 
   while (!halted && stats.firings < options_.base.max_firings) {
     // -- match/select: rank the conflict set in strategy order. --
-    std::vector<InstPtr> candidates =
-        matcher->conflict_set().SelectableSnapshot();
-    if (candidates.empty()) break;
-
-    std::vector<InstPtr> ordered;
-    ordered.reserve(candidates.size());
-    {
-      std::vector<Candidate> pool_candidates;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        pool_candidates.push_back(Candidate{&candidates[i], i});
-      }
-      while (!pool_candidates.empty()) {
-        const InstPtr* best =
-            SelectDominant(pool_candidates, options_.base.strategy, &rng);
-        ordered.push_back(*best);
-        for (auto it = pool_candidates.begin(); it != pool_candidates.end();
-             ++it) {
-          if (it->inst == best) {
-            pool_candidates.erase(it);
-            break;
-          }
-        }
-      }
-    }
+    std::vector<InstPtr> ordered = matcher->conflict_set().SelectableInOrder(
+        options_.base.strategy, &rng);
+    if (ordered.empty()) break;
 
     // -- pre-execution analysis: maximal non-interfering subset. --
     std::vector<size_t> selected = SelectNonInterfering(ordered);

@@ -67,13 +67,6 @@ inline bool AllZero(const std::array<uint32_t, kNumLockModes>& counts) {
 
 }  // namespace
 
-size_t DefaultNumLockShards() {
-  const size_t hw = std::thread::hardware_concurrency();
-  size_t shards = 8;
-  while (shards < hw) shards <<= 1;
-  return shards;
-}
-
 std::string LockEvent::ToString() const {
   std::ostringstream out;
   switch (kind) {
@@ -99,24 +92,14 @@ std::string LockEvent::ToString() const {
   return out.str();
 }
 
-LockManager::LockManager(Options options) : options_(std::move(options)) {
-  const size_t n = std::max<size_t>(1, options_.num_shards);
-  shards_.reserve(n);
-  for (size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
-}
-
-size_t LockManager::ShardIndex(SymbolId relation) const {
-  return RouteMix(relation, shards_.size());
-}
+LockManager::LockManager(Options options) : options_(std::move(options)) {}
 
 size_t LockManager::FastSlotIndex(const LockObjectId& object) {
-  return LockObjectIdHash{}(object) % kFastSlotsPerShard;
+  return LockObjectIdHash{}(object) % kFastSlots;
 }
 
 size_t LockManager::RelGuardIndex(SymbolId relation) {
-  // Shifted so it decorrelates from ShardIndex (which uses the low bits
-  // of the same mix).
-  return static_cast<size_t>(Mix64(relation) >> 17) % kRelGuardsPerShard;
+  return static_cast<size_t>(Mix64(relation)) % kRelGuards;
 }
 
 TxnId LockManager::Begin() {
@@ -235,10 +218,11 @@ void LockManager::ReleaseFastHolder(FastSlot& slot, TxnId txn,
   DBPS_DCHECK(false) << "fast holder entry missing for T" << txn;
 }
 
-bool LockManager::TryFastAcquire(Shard& shard, const TxnPtr& state, TxnId txn,
+bool LockManager::TryFastAcquire(const TxnPtr& state, TxnId txn,
                                  const LockObjectId& object, LockMode mode) {
-  FastSlot& slot = shard.fast[FastSlotIndex(object)];
-  std::atomic<uint32_t>& guard = shard.rel_guards[RelGuardIndex(object.relation)];
+  FastSlot& slot = table_.fast[FastSlotIndex(object)];
+  std::atomic<uint32_t>& guard =
+      table_.rel_guards[RelGuardIndex(object.relation)];
   // Cheap pre-checks before publishing anything.
   if (guard.load(std::memory_order_seq_cst) != 0) return false;
   uint64_t word = slot.word.load(std::memory_order_seq_cst);
@@ -262,15 +246,14 @@ bool LockManager::TryFastAcquire(Shard& shard, const TxnPtr& state, TxnId txn,
       granted = true;
       break;
     }
-    shard.fast_cas_retries.fetch_add(1, std::memory_order_relaxed);
+    table_.fast_cas_retries.fetch_add(1, std::memory_order_relaxed);
   }
   // Dekker re-check against a concurrent relation-level slow acquire: it
   // raises the guard and then scans the slots; we CASed the word and now
   // re-read the guard. Both operations are seq_cst, so at least one side
   // observes the other — if we see the guard we retreat; if we don't, the
   // scanner's drain sees our grant.
-  if (granted &&
-      guard.load(std::memory_order_seq_cst) != 0) {
+  if (granted && guard.load(std::memory_order_seq_cst) != 0) {
     slot.word.fetch_sub(ModeInc(mode), std::memory_order_seq_cst);
     granted = false;
   }
@@ -288,13 +271,13 @@ bool LockManager::TryFastAcquire(Shard& shard, const TxnPtr& state, TxnId txn,
     if (AllZero(it->second.counts)) state->holds.erase(it);
     return false;
   }
-  shard.fast_grants.fetch_add(1, std::memory_order_relaxed);
+  table_.fast_grants.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
-void LockManager::AddSealRef(Shard& shard, size_t slot_index) const {
-  if (shard.seal_refs[slot_index]++ == 0) {
-    FastSlot& slot = shard.fast[slot_index];
+void LockManager::AddSealRef(size_t slot_index) {
+  if (table_.seal_refs[slot_index]++ == 0) {
+    FastSlot& slot = table_.fast[slot_index];
     slot.word.fetch_or(kSealedBit, std::memory_order_seq_cst);
     // Flush in-flight fast operations: once the holder entries account
     // for every granted count, every pre-seal grant is enumerable and no
@@ -303,11 +286,11 @@ void LockManager::AddSealRef(Shard& shard, size_t slot_index) const {
   }
 }
 
-void LockManager::DropSealRef(Shard& shard, size_t slot_index) const {
-  DBPS_DCHECK(shard.seal_refs[slot_index] > 0);
-  if (--shard.seal_refs[slot_index] == 0) {
-    shard.fast[slot_index].word.fetch_and(~kSealedBit,
-                                          std::memory_order_seq_cst);
+void LockManager::DropSealRef(size_t slot_index) {
+  DBPS_DCHECK(table_.seal_refs[slot_index] > 0);
+  if (--table_.seal_refs[slot_index] == 0) {
+    table_.fast[slot_index].word.fetch_and(~kSealedBit,
+                                           std::memory_order_seq_cst);
   }
 }
 
@@ -335,7 +318,7 @@ void LockManager::CollectFastObjectConflicts(const FastSlot& slot, TxnId txn,
   }
 }
 
-void LockManager::CollectFastRelationConflicts(const Shard& shard, TxnId txn,
+void LockManager::CollectFastRelationConflicts(TxnId txn,
                                                bool requester_blocking,
                                                SymbolId relation,
                                                LockMode mode,
@@ -344,7 +327,7 @@ void LockManager::CollectFastRelationConflicts(const Shard& shard, TxnId txn,
   // relation can complete; drain each active slot to flush in-flight
   // operations, then inspect every fast holder's record for tuple/intent
   // holds in `relation`.
-  for (const FastSlot& slot : shard.fast) {
+  for (const FastSlot& slot : table_.fast) {
     if (TotalCount(slot.word.load(std::memory_order_seq_cst)) == 0) continue;
     DrainSlot(slot);
     for (const auto& entry : slot.holders) {
@@ -373,23 +356,21 @@ void LockManager::CollectFastRelationConflicts(const Shard& shard, TxnId txn,
 
 // RAII for the slow path's fast-path bookkeeping around one Acquire:
 // tuple/intent requests seal the object's fast slot for the duration
-// (shard.mu must be held at construction and destruction — satisfied
-// because the guard is declared after the shard lock and the lock is
+// (table_.mu must be held at construction and destruction — satisfied
+// because the guard is declared after the table lock and the lock is
 // only dropped transiently mid-scope); relation-level requests raise the
 // relation guard, and keep one count on grant (released by Release).
 class LockManager::SlowAcquireRef {
  public:
-  SlowAcquireRef(const LockManager* lm, Shard& shard,
-                 const LockObjectId& object)
+  SlowAcquireRef(LockManager* lm, const LockObjectId& object)
       : lm_(lm),
-        shard_(shard),
         relation_level_(object.is_relation_level()),
         slot_index_(FastSlotIndex(object)),
-        guard_(shard.rel_guards[RelGuardIndex(object.relation)]) {
+        guard_(lm->table_.rel_guards[RelGuardIndex(object.relation)]) {
     if (relation_level_) {
       guard_.fetch_add(1, std::memory_order_seq_cst);
     } else {
-      lm_->AddSealRef(shard_, slot_index_);
+      lm_->AddSealRef(slot_index_);
     }
   }
   SlowAcquireRef(const SlowAcquireRef&) = delete;
@@ -398,7 +379,7 @@ class LockManager::SlowAcquireRef {
     if (relation_level_) {
       if (!granted_) guard_.fetch_sub(1, std::memory_order_seq_cst);
     } else {
-      lm_->DropSealRef(shard_, slot_index_);
+      lm_->DropSealRef(slot_index_);
     }
   }
   /// A relation-level grant keeps its +1 guard count (one per granted
@@ -406,8 +387,7 @@ class LockManager::SlowAcquireRef {
   void KeepGuardCount() { granted_ = true; }
 
  private:
-  const LockManager* lm_;
-  Shard& shard_;
+  LockManager* lm_;
   const bool relation_level_;
   const size_t slot_index_;
   std::atomic<uint32_t>& guard_;
@@ -426,21 +406,21 @@ void LockManager::CollectBucketConflicts(const Bucket& bucket, TxnId txn,
   }
 }
 
-std::vector<TxnId> LockManager::FindConflicts(const Shard& shard, TxnId txn,
+std::vector<TxnId> LockManager::FindConflicts(TxnId txn,
                                               bool requester_blocking,
                                               const LockObjectId& object,
                                               LockMode mode) const {
   std::vector<TxnId> conflicts;
   // Direct bucket.
-  auto bucket_it = shard.buckets.find(object);
-  if (bucket_it != shard.buckets.end()) {
+  auto bucket_it = table_.buckets.find(object);
+  if (bucket_it != table_.buckets.end()) {
     CollectBucketConflicts(bucket_it->second, txn, requester_blocking, mode,
                            &conflicts);
   }
   if (object.is_relation_level()) {
     // Relation-level request vs every tuple/insert hold in the relation.
-    auto summary_it = shard.relation_summaries.find(object.relation);
-    if (summary_it != shard.relation_summaries.end()) {
+    auto summary_it = table_.relation_summaries.find(object.relation);
+    if (summary_it != table_.relation_summaries.end()) {
       for (const auto& [holder, counts] : summary_it->second) {
         if (holder == txn) continue;
         if (ConflictsWithHolder(requester_blocking, mode, holder, counts)) {
@@ -449,26 +429,20 @@ std::vector<TxnId> LockManager::FindConflicts(const Shard& shard, TxnId txn,
       }
     }
     // ...and every *fast* tuple/insert hold (invisible to the summary).
-    if (options_.fast_path) {
-      CollectFastRelationConflicts(shard, txn, requester_blocking,
-                                   object.relation, mode, &conflicts);
-    }
+    CollectFastRelationConflicts(txn, requester_blocking, object.relation,
+                                 mode, &conflicts);
   } else {
-    // Tuple/insert request vs the relation-level bucket (same shard: the
-    // whole relation hashes to one stripe). Relation-level locks are
-    // always slow-path, so the bucket is exhaustive for them.
+    // Tuple/insert request vs the relation-level bucket. Relation-level
+    // locks are always slow-path, so the bucket is exhaustive for them.
     auto rel_it =
-        shard.buckets.find(LockObjectId{object.relation, kRelationLevel});
-    if (rel_it != shard.buckets.end()) {
+        table_.buckets.find(LockObjectId{object.relation, kRelationLevel});
+    if (rel_it != table_.buckets.end()) {
       CollectBucketConflicts(rel_it->second, txn, requester_blocking, mode,
                              &conflicts);
     }
     // Fast holders of the object itself (the caller sealed its slot).
-    if (options_.fast_path) {
-      CollectFastObjectConflicts(shard.fast[FastSlotIndex(object)], txn,
-                                 requester_blocking, object, mode,
-                                 &conflicts);
-    }
+    CollectFastObjectConflicts(table_.fast[FastSlotIndex(object)], txn,
+                               requester_blocking, object, mode, &conflicts);
   }
   std::sort(conflicts.begin(), conflicts.end());
   conflicts.erase(std::unique(conflicts.begin(), conflicts.end()),
@@ -478,9 +452,7 @@ std::vector<TxnId> LockManager::FindConflicts(const Shard& shard, TxnId txn,
 
 bool LockManager::WouldDeadlock(TxnId txn,
                                 const std::vector<TxnId>& blockers) const {
-  // DFS from each blocker through waits_for_, looking for txn. The graph
-  // is global (edges from waiters on every shard), so cycles whose waits
-  // span shards are found here even though the lock table is striped.
+  // DFS from each blocker through the waits-for edges, looking for txn.
   std::vector<TxnId> stack(blockers.begin(), blockers.end());
   std::unordered_set<TxnId> visited;
   while (!stack.empty()) {
@@ -488,21 +460,12 @@ bool LockManager::WouldDeadlock(TxnId txn,
     stack.pop_back();
     if (current == txn) return true;
     if (!visited.insert(current).second) continue;
-    auto it = waits_for_.find(current);
-    if (it != waits_for_.end()) {
+    auto it = table_.waits_for.find(current);
+    if (it != table_.waits_for.end()) {
       stack.insert(stack.end(), it->second.begin(), it->second.end());
     }
   }
   return false;
-}
-
-void LockManager::NotifyAllShardsFenced() {
-  for (auto& shard : shards_) {
-    // Lock/unlock (never nested) so a waiter that checked its predicate
-    // but has not yet parked cannot miss the notification.
-    { std::lock_guard<std::mutex> fence(shard->mu); }
-    shard->cv.notify_all();
-  }
 }
 
 void LockManager::MarkAbortedTxn(TxnId txn, const TxnPtr& state,
@@ -511,7 +474,10 @@ void LockManager::MarkAbortedTxn(TxnId txn, const TxnPtr& state,
   if (state->aborted.exchange(true, std::memory_order_acq_rel)) return;
   aborts_marked_.fetch_add(1, std::memory_order_relaxed);
   events->Add(LockEvent::Kind::kAbortMark, txn, LockObjectId{}, LockMode::kRc);
-  NotifyAllShardsFenced();
+  // Lock/unlock before notifying so a waiter that checked its aborted flag
+  // but has not yet parked cannot miss the notification.
+  { std::lock_guard<std::mutex> fence(table_.mu); }
+  table_.cv.notify_all();
 }
 
 Status LockManager::Acquire(TxnId txn, LockObjectId object, LockMode mode) {
@@ -544,17 +510,15 @@ Status LockManager::Acquire(TxnId txn, LockObjectId object, LockMode mode) {
 
   const bool requester_blocking =
       state->blocking.load(std::memory_order_acquire);
-  Shard& shard = ShardForObject(object);
 
-  // Lock-free fast path: one CAS on the slot's mode-word, no shard mutex.
+  // Lock-free fast path: one CAS on the slot's mode-word, no table mutex.
   // Relation-level requests always go slow (they must see every tuple
   // hold of the relation), as do blocking (escalated) requesters — which
   // is what keeps the starvation guarantee: a fast Wa-over-Rc can never
   // race past a blocking holder's Rc, because a blocking transaction's
   // Rc only ever lives in a (sealed) bucket.
-  if (options_.fast_path && !object.is_relation_level() &&
-      !requester_blocking &&
-      TryFastAcquire(shard, state, txn, object, mode)) {
+  if (!object.is_relation_level() && !requester_blocking &&
+      TryFastAcquire(state, txn, object, mode)) {
     acquired_.fetch_add(1, std::memory_order_relaxed);
     events.Add(LockEvent::Kind::kGrant, txn, object, mode);
     return Status::OK();
@@ -564,17 +528,17 @@ Status LockManager::Acquire(TxnId txn, LockObjectId object, LockMode mode) {
       std::chrono::steady_clock::now() + options_.wait_timeout;
   bool waited = false;
 
-  std::unique_lock<std::mutex> shard_lock(shard.mu, std::try_to_lock);
-  if (!shard_lock.owns_lock()) {
-    shard_lock.lock();
-    ++shard.stats.mutex_contentions;
+  std::unique_lock<std::mutex> table_lock(table_.mu, std::try_to_lock);
+  if (!table_lock.owns_lock()) {
+    table_lock.lock();
+    ++table_.stats.mutex_contentions;
   }
   const auto hold_start = std::chrono::steady_clock::now();
 
   // Seal the object's fast slot (or raise the relation guard) for the
   // duration of this slow acquire: fast grants can no longer race the
   // conflict checks below or steal ahead of a queued waiter.
-  SlowAcquireRef slow_ref(this, shard, object);
+  SlowAcquireRef slow_ref(this, object);
 
   // Fast path: already holding this mode on this object.
   {
@@ -583,20 +547,20 @@ Status LockManager::Acquire(TxnId txn, LockObjectId object, LockMode mode) {
     if (hold_it != state->holds.end() &&
         hold_it->second.counts[static_cast<int>(mode)] > 0) {
       ++hold_it->second.counts[static_cast<int>(mode)];
-      Bucket& bucket = shard.buckets[object];
+      Bucket& bucket = table_.buckets[object];
       auto [pair_it, inserted] = bucket.holds.try_emplace(txn, ModeCounts{});
       ++pair_it->second[static_cast<int>(mode)];
       if (inserted && !object.is_relation_level()) {
-        AddSealRef(shard, FastSlotIndex(object));  // the pair's seal ref
+        AddSealRef(FastSlotIndex(object));  // the pair's seal ref
       }
       if (!object.is_relation_level()) {
-        ++shard.relation_summaries[object.relation][txn]
-                                  [static_cast<int>(mode)];
+        ++table_.relation_summaries[object.relation][txn]
+                                   [static_cast<int>(mode)];
       } else {
         slow_ref.KeepGuardCount();
       }
-      ++shard.stats.acquires;
-      shard.stats.hold_ns += static_cast<uint64_t>(
+      ++table_.stats.acquires;
+      table_.stats.hold_ns += static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - hold_start)
               .count());
@@ -607,49 +571,40 @@ Status LockManager::Acquire(TxnId txn, LockObjectId object, LockMode mode) {
 
   for (;;) {
     std::vector<TxnId> conflicts =
-        FindConflicts(shard, txn, requester_blocking, object, mode);
+        FindConflicts(txn, requester_blocking, object, mode);
     if (conflicts.empty()) break;
 
-    // Checked under the shard mutex, so a MarkAborted after this point
-    // fences this shard only once the wait below has released it — its
+    // Checked under the table mutex, so a MarkAborted after this point
+    // fences the mutex only once the wait below has released it — its
     // wake-up cannot be lost. (The entry check ran before the mutex.)
     if (state->aborted.load(std::memory_order_acquire)) {
       return Status::Aborted("transaction aborted while waiting for " +
                              object.ToString());
     }
-    {
-      // The cycle check and the edge it approves go in under one hold of
-      // slow_mu_: two requesters (on different shards) that each checked
-      // before the other registered would both park on a cycle neither
-      // saw, until their wait_timeout.
-      std::lock_guard<std::mutex> slow_guard(slow_mu_);
-      if (WouldDeadlock(txn, conflicts)) {
-        deadlocks_.fetch_add(1, std::memory_order_relaxed);
-        events.Add(LockEvent::Kind::kDeadlock, txn, object, mode);
-        return Status::Deadlock("waiting for " + object.ToString() +
-                                " would close a waits-for cycle");
-      }
-      waits_for_[txn] = std::move(conflicts);
+    // The cycle check and the edge it approves go in under the table
+    // mutex, as does every other waiter's, so the check sees every edge.
+    if (WouldDeadlock(txn, conflicts)) {
+      deadlocks_.fetch_add(1, std::memory_order_relaxed);
+      events.Add(LockEvent::Kind::kDeadlock, txn, object, mode);
+      return Status::Deadlock("waiting for " + object.ToString() +
+                              " would close a waits-for cycle");
     }
+    table_.waits_for[txn] = std::move(conflicts);
     if (!waited) {
       waited = true;
       blocked_.fetch_add(1, std::memory_order_relaxed);
-      ++shard.stats.waits;
+      ++table_.stats.waits;
       events.Add(LockEvent::Kind::kBlock, txn, object, mode);
     }
-    auto wait_result = shard.cv.wait_until(shard_lock, deadline);
-    {
-      std::lock_guard<std::mutex> slow_guard(slow_mu_);
-      waits_for_.erase(txn);
-    }
+    auto wait_result = table_.cv.wait_until(table_lock, deadline);
+    table_.waits_for.erase(txn);
     if (state->aborted.load(std::memory_order_acquire)) {
       return Status::Aborted("transaction aborted while waiting for " +
                              object.ToString());
     }
     if (wait_result == std::cv_status::timeout) {
       expired_waits_.fetch_add(1, std::memory_order_relaxed);
-      if (!FindConflicts(shard, txn, requester_blocking, object, mode)
-               .empty()) {
+      if (!FindConflicts(txn, requester_blocking, object, mode).empty()) {
         timeouts_.fetch_add(1, std::memory_order_relaxed);
         return Status::LockTimeout("gave up waiting for " +
                                    object.ToString());
@@ -660,15 +615,15 @@ Status LockManager::Acquire(TxnId txn, LockObjectId object, LockMode mode) {
 
   // Grant (slow path: into the bucket).
   {
-    Bucket& bucket = shard.buckets[object];
+    Bucket& bucket = table_.buckets[object];
     auto [pair_it, inserted] = bucket.holds.try_emplace(txn, ModeCounts{});
     ++pair_it->second[static_cast<int>(mode)];
     if (inserted && !object.is_relation_level()) {
-      AddSealRef(shard, FastSlotIndex(object));  // the pair's seal ref
+      AddSealRef(FastSlotIndex(object));  // the pair's seal ref
     }
   }
   if (!object.is_relation_level()) {
-    ++shard.relation_summaries[object.relation][txn][static_cast<int>(mode)];
+    ++table_.relation_summaries[object.relation][txn][static_cast<int>(mode)];
   } else {
     slow_ref.KeepGuardCount();
   }
@@ -677,9 +632,9 @@ Status LockManager::Acquire(TxnId txn, LockObjectId object, LockMode mode) {
     auto [hold_it, unused] = state->holds.try_emplace(object, HoldCounts{});
     ++hold_it->second.counts[static_cast<int>(mode)];
   }
-  ++shard.stats.acquires;
+  ++table_.stats.acquires;
   if (!waited) {
-    shard.stats.hold_ns += static_cast<uint64_t>(
+    table_.stats.hold_ns += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - hold_start)
             .count());
@@ -702,17 +657,17 @@ std::vector<TxnId> LockManager::CollectRcVictims(TxnId txn) const {
   // this, so the set is stable; and because Rc-vs-Wa is incompatible in
   // Table 4.1, no *new* conflicting Rc can be granted while these Wa
   // locks are held — a slow Wa seals its slot, a fast Wa sits in the
-  // mode-word and fails any fast Rc's compatibility check — so the
-  // per-shard sweep below needs no global section.
-  std::vector<std::vector<LockObjectId>> wa_by_shard(shards_.size());
+  // mode-word and fails any fast Rc's compatibility check.
+  std::vector<LockObjectId> wa_objects;
   {
     std::lock_guard<std::mutex> txn_guard(state->mu);
     for (const auto& [object, hold] : state->holds) {
       if (hold.counts[static_cast<int>(LockMode::kWa)] > 0) {
-        wa_by_shard[ShardIndex(object.relation)].push_back(object);
+        wa_objects.push_back(object);
       }
     }
   }
+  if (wa_objects.empty()) return {};
 
   std::unordered_set<TxnId> victims;
   // Blocking (escalated) transactions are never victims: their Rc locks
@@ -744,79 +699,66 @@ std::vector<TxnId> LockManager::CollectRcVictims(TxnId txn) const {
     if (holds_rc && !IsBlockingTxn(holder)) victims.insert(holder);
   };
 
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (wa_by_shard[s].empty()) continue;
-    const Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> shard_guard(shard.mu);
-    for (const LockObjectId& object : wa_by_shard[s]) {
-      // Rc holders on the same object.
-      auto bucket_it = shard.buckets.find(object);
-      if (bucket_it != shard.buckets.end()) add_rc_holders(bucket_it->second);
+  std::lock_guard<std::mutex> table_guard(table_.mu);
+  for (const LockObjectId& object : wa_objects) {
+    // Rc holders on the same object.
+    auto bucket_it = table_.buckets.find(object);
+    if (bucket_it != table_.buckets.end()) add_rc_holders(bucket_it->second);
 
-      if (object.is_relation_level()) {
-        // Relation-level Wa vs tuple-level Rc anywhere in the relation.
-        auto summary_it = shard.relation_summaries.find(object.relation);
-        if (summary_it != shard.relation_summaries.end()) {
-          for (const auto& [holder, counts2] : summary_it->second) {
-            if (holder != txn &&
-                counts2[static_cast<int>(LockMode::kRc)] > 0 &&
-                !IsBlockingTxn(holder)) {
-              victims.insert(holder);
-            }
+    if (object.is_relation_level()) {
+      // Relation-level Wa vs tuple-level Rc anywhere in the relation.
+      auto summary_it = table_.relation_summaries.find(object.relation);
+      if (summary_it != table_.relation_summaries.end()) {
+        for (const auto& [holder, counts] : summary_it->second) {
+          if (holder != txn && counts[static_cast<int>(LockMode::kRc)] > 0 &&
+              !IsBlockingTxn(holder)) {
+            victims.insert(holder);
           }
         }
-        // ...and fast tuple-level Rc anywhere in the relation. The
-        // committer's relation-level Wa grant raised the relation guard,
-        // so no new fast Rc in the relation can land; drain flushes the
-        // in-flight ones.
-        if (options_.fast_path) {
-          for (const FastSlot& slot : shard.fast) {
-            if (TotalCount(slot.word.load(std::memory_order_seq_cst)) == 0) {
-              continue;
-            }
-            DrainSlot(slot);
-            for (const auto& entry : slot.holders) {
-              const TxnId holder =
-                  entry.load(std::memory_order_seq_cst) >> 16;
-              if (holder == 0 || holder == txn) continue;
-              TxnPtr holder_state = FindTxn(holder);
-              if (holder_state == nullptr) continue;
-              bool holds_rc = false;
-              {
-                std::lock_guard<std::mutex> hg(holder_state->mu);
-                for (const auto& [held_object, hold] :
-                     holder_state->holds) {
-                  if (held_object.relation == object.relation &&
-                      !held_object.is_relation_level() &&
-                      hold.fast[static_cast<int>(LockMode::kRc)] > 0) {
-                    holds_rc = true;
-                    break;
-                  }
-                }
-              }
-              if (holds_rc && !IsBlockingTxn(holder)) {
-                victims.insert(holder);
+      }
+      // ...and fast tuple-level Rc anywhere in the relation. The
+      // committer's relation-level Wa grant raised the relation guard, so
+      // no new fast Rc in the relation can land; drain flushes the
+      // in-flight ones.
+      for (const FastSlot& slot : table_.fast) {
+        if (TotalCount(slot.word.load(std::memory_order_seq_cst)) == 0) {
+          continue;
+        }
+        DrainSlot(slot);
+        for (const auto& entry : slot.holders) {
+          const TxnId holder = entry.load(std::memory_order_seq_cst) >> 16;
+          if (holder == 0 || holder == txn) continue;
+          TxnPtr holder_state = FindTxn(holder);
+          if (holder_state == nullptr) continue;
+          bool holds_rc = false;
+          {
+            std::lock_guard<std::mutex> hg(holder_state->mu);
+            for (const auto& [held_object, hold] : holder_state->holds) {
+              if (held_object.relation == object.relation &&
+                  !held_object.is_relation_level() &&
+                  hold.fast[static_cast<int>(LockMode::kRc)] > 0) {
+                holds_rc = true;
+                break;
               }
             }
           }
+          if (holds_rc && !IsBlockingTxn(holder)) victims.insert(holder);
         }
-      } else {
-        // Tuple/insert Wa vs relation-level Rc (negation escalations).
-        auto rel_it = shard.buckets.find(
-            LockObjectId{object.relation, kRelationLevel});
-        if (rel_it != shard.buckets.end()) add_rc_holders(rel_it->second);
-        // ...and fast Rc on the same object. The committer's Wa blocks
-        // new fast Rc grants on the slot (word incompatibility if the Wa
-        // is fast, sealed bit if it is slow), so drain + enumerate is
-        // exhaustive.
-        if (options_.fast_path) {
-          const FastSlot& slot = shard.fast[FastSlotIndex(object)];
-          DrainSlot(slot);
-          for (const auto& entry : slot.holders) {
-            add_fast_rc_holder(entry.load(std::memory_order_seq_cst) >> 16,
-                               object);
-          }
-        }
+      }
+    } else {
+      // Tuple/insert Wa vs relation-level Rc (negation escalations).
+      auto rel_it =
+          table_.buckets.find(LockObjectId{object.relation, kRelationLevel});
+      if (rel_it != table_.buckets.end()) add_rc_holders(rel_it->second);
+      // ...and fast Rc on the same object. The committer's Wa blocks new
+      // fast Rc grants on the slot (word incompatibility if the Wa is
+      // fast, sealed bit if it is slow), so drain + enumerate is
+      // exhaustive.
+      const FastSlot& slot = table_.fast[FastSlotIndex(object)];
+      DrainSlot(slot);
+      for (const auto& entry : slot.holders) {
+        add_fast_rc_holder(entry.load(std::memory_order_seq_cst) >> 16,
+                           object);
       }
     }
   }
@@ -855,14 +797,14 @@ void LockManager::Release(TxnId txn) {
   TxnPtr state = TakeTxn(txn);
   if (state == nullptr) {
     // Unknown or double release: tolerate (the caller's rollback paths
-    // may race a victimizing committer) but count — waits_for_ and the
-    // buckets are left untouched.
+    // may race a victimizing committer) but count — the lock table is
+    // left untouched.
     unknown_releases_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   // The txn is out of the registry, so no new grants can appear; move the
-  // holds out (never hold state->mu while taking a shard mutex — lock
-  // order is shard.mu -> state.mu). Taking the registry entry first also
+  // holds out (never hold state->mu while taking the table mutex — lock
+  // order is table mu -> state.mu). Taking the registry entry first also
   // orders the release for fast-path inspectors: once the record is gone,
   // FindTxn fails and they treat the holder as released.
   std::unordered_map<LockObjectId, HoldCounts, LockObjectIdHash> holds;
@@ -870,72 +812,58 @@ void LockManager::Release(TxnId txn) {
     std::lock_guard<std::mutex> txn_guard(state->mu);
     holds.swap(state->holds);
   }
-  std::vector<std::vector<const LockObjectId*>> by_shard(shards_.size());
+  // Retire fast grants first, entry before word (the drain invariant:
+  // holder entries never exceed the mode-word counts), and both before
+  // the mutex fence below so a waiter's recheck observes them.
   for (const auto& [object, hold] : holds) {
-    by_shard[ShardIndex(object.relation)].push_back(&object);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    // Retire fast grants first, entry before word (the drain invariant:
-    // holder entries never exceed the mode-word counts), and both before
-    // the mutex fence below so a waiter's recheck observes them.
-    for (const LockObjectId* object : by_shard[s]) {
-      const HoldCounts& hold = holds.find(*object)->second;
-      const uint64_t fast_total = static_cast<uint64_t>(hold.fast[0]) +
-                                  hold.fast[1] + hold.fast[2];
-      if (fast_total == 0) continue;
-      FastSlot& slot = shard.fast[FastSlotIndex(*object)];
-      ReleaseFastHolder(slot, txn, fast_total);
-      uint64_t dec = 0;
-      for (int m = 0; m < kNumLockModes; ++m) {
-        dec += static_cast<uint64_t>(hold.fast[m]) *
-               ModeInc(static_cast<LockMode>(m));
-      }
-      slot.word.fetch_sub(dec, std::memory_order_seq_cst);
+    const uint64_t fast_total = static_cast<uint64_t>(hold.fast[0]) +
+                                hold.fast[1] + hold.fast[2];
+    if (fast_total == 0) continue;
+    FastSlot& slot = table_.fast[FastSlotIndex(object)];
+    ReleaseFastHolder(slot, txn, fast_total);
+    uint64_t dec = 0;
+    for (int m = 0; m < kNumLockModes; ++m) {
+      dec += static_cast<uint64_t>(hold.fast[m]) *
+             ModeInc(static_cast<LockMode>(m));
     }
-    {
-      std::lock_guard<std::mutex> shard_guard(shard.mu);
-      for (const LockObjectId* object : by_shard[s]) {
-        auto bucket_it = shard.buckets.find(*object);
-        if (bucket_it != shard.buckets.end()) {
-          if (bucket_it->second.holds.erase(txn) > 0 &&
-              !object->is_relation_level()) {
-            DropSealRef(shard, FastSlotIndex(*object));  // the pair's ref
-          }
-          if (bucket_it->second.holds.empty()) {
-            shard.buckets.erase(bucket_it);
-          }
-        }
-        if (!object->is_relation_level()) {
-          auto summary_it = shard.relation_summaries.find(object->relation);
-          if (summary_it != shard.relation_summaries.end()) {
-            summary_it->second.erase(txn);
-            if (summary_it->second.empty()) {
-              shard.relation_summaries.erase(summary_it);
-            }
-          }
-        } else {
-          // Pay back the relation guard: one count per granted
-          // relation-level Acquire call (== the hold's total count;
-          // relation-level locks are never fast).
-          const HoldCounts& hold = holds.find(*object)->second;
-          const uint32_t total =
-              hold.counts[0] + hold.counts[1] + hold.counts[2];
-          shard.rel_guards[RelGuardIndex(object->relation)].fetch_sub(
-              total, std::memory_order_seq_cst);
-        }
-      }
-    }
-    // Any waiter blocked on this txn's holds is parked on one of the
-    // shards those holds live in; wake them to recompute conflicts. (The
-    // lock/unlock above doubles as the fence for the fast decrements.)
-    shard.cv.notify_all();
+    slot.word.fetch_sub(dec, std::memory_order_seq_cst);
   }
   {
-    std::lock_guard<std::mutex> slow_guard(slow_mu_);
-    waits_for_.erase(txn);
+    std::lock_guard<std::mutex> table_guard(table_.mu);
+    for (const auto& [object, hold] : holds) {
+      auto bucket_it = table_.buckets.find(object);
+      if (bucket_it != table_.buckets.end()) {
+        if (bucket_it->second.holds.erase(txn) > 0 &&
+            !object.is_relation_level()) {
+          DropSealRef(FastSlotIndex(object));  // the pair's ref
+        }
+        if (bucket_it->second.holds.empty()) {
+          table_.buckets.erase(bucket_it);
+        }
+      }
+      if (!object.is_relation_level()) {
+        auto summary_it = table_.relation_summaries.find(object.relation);
+        if (summary_it != table_.relation_summaries.end()) {
+          summary_it->second.erase(txn);
+          if (summary_it->second.empty()) {
+            table_.relation_summaries.erase(summary_it);
+          }
+        }
+      } else {
+        // Pay back the relation guard: one count per granted
+        // relation-level Acquire call (== the hold's total count;
+        // relation-level locks are never fast).
+        const uint32_t total =
+            hold.counts[0] + hold.counts[1] + hold.counts[2];
+        table_.rel_guards[RelGuardIndex(object.relation)].fetch_sub(
+            total, std::memory_order_seq_cst);
+      }
+    }
+    table_.waits_for.erase(txn);
   }
+  // Wake waiters to recompute their conflicts. (The lock/unlock above
+  // doubles as the fence for the fast decrements.)
+  table_.cv.notify_all();
   events.Add(LockEvent::Kind::kRelease, txn, LockObjectId{}, LockMode::kRc);
 }
 
@@ -968,21 +896,18 @@ LockManager::Stats LockManager::GetStats() const {
   stats.aborts_marked = aborts_marked_.load(std::memory_order_relaxed);
   stats.unknown_releases = unknown_releases_.load(std::memory_order_relaxed);
   stats.blocking_txns = blocking_txns_.load(std::memory_order_relaxed);
-  stats.shards.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    ShardStats shard_stats;
-    {
-      std::lock_guard<std::mutex> shard_guard(shard->mu);
-      shard_stats = shard->stats;
-    }
-    shard_stats.fast_path_grants =
-        shard->fast_grants.load(std::memory_order_relaxed);
-    shard_stats.fast_path_cas_retries =
-        shard->fast_cas_retries.load(std::memory_order_relaxed);
-    stats.fast_path_grants += shard_stats.fast_path_grants;
-    stats.fast_path_cas_retries += shard_stats.fast_path_cas_retries;
-    stats.shards.push_back(shard_stats);
+  ShardStats table_stats;
+  {
+    std::lock_guard<std::mutex> table_guard(table_.mu);
+    table_stats = table_.stats;
   }
+  table_stats.fast_path_grants =
+      table_.fast_grants.load(std::memory_order_relaxed);
+  table_stats.fast_path_cas_retries =
+      table_.fast_cas_retries.load(std::memory_order_relaxed);
+  stats.fast_path_grants = table_stats.fast_path_grants;
+  stats.fast_path_cas_retries = table_stats.fast_path_cas_retries;
+  stats.shards.push_back(table_stats);
   return stats;
 }
 

@@ -1,4 +1,4 @@
-// The striped lock manager (§4.2, §4.3).
+// The lock manager (§4.2, §4.3).
 //
 // One manager instance serves one parallel engine run. It implements both
 // protocols behind the same interface:
@@ -11,43 +11,36 @@
 //    lock conflicts with the committer's Wa set, and the engine aborts
 //    (or revalidates) them — the paper's rules (i)/(ii) of §4.3.
 //
-// Decentralization: the paper assumes a *centralized* lock manager; this
-// implementation keeps its semantics while sharding the mechanism so no
-// fast-path operation takes a process-global mutex:
+// Like the paper's, the lock table is centralized: one table behind one
+// mutex + condition variable holds every bucket, the per-relation
+// summaries and the waits-for graph. Two things keep the common case off
+// that mutex:
 //
-//  * The lock table is striped into Options::num_shards LockShards, each
-//    with its own mutex + condition variable. An object hashes to a shard
-//    by its *relation*, so a relation-level bucket, all tuple buckets of
-//    that relation, its insert intents, and the per-relation summary live
-//    in one shard — the relation/tuple hierarchy check never crosses a
-//    shard boundary.
-//  * On top of the stripes sits a *lock-free grant fast path* (DESIGN.md
-//    §4.1): each shard carries an array of FastSlots — an atomic
-//    mode-word (granted-count per mode + a sealed bit) plus a small array
-//    of holder entries — and an uncontended tuple/intent Acquire is one
-//    CAS on the mode-word, never touching the shard mutex. The slow path
-//    *seals* a slot (sets the mode-word's sealed bit and drains in-flight
-//    fast operations) whenever it has any interest in it — a waiter, a
-//    bucket hold, an in-progress slow acquire — so a fast grant can never
-//    race a waiter's wakeup or an exact conflict check. Relation-level
-//    requests, which must see every tuple hold of their relation, raise a
-//    per-relation guard counter instead; fast grants re-check the guard
-//    after their CAS (a store-buffering/Dekker pair), so either the fast
-//    grant becomes visible to the relation-level scan or it observes the
-//    guard and retreats to the slow path.
+//  * A *lock-free grant fast path* (DESIGN.md §4.1): the table carries an
+//    array of FastSlots — an atomic mode-word (granted-count per mode + a
+//    sealed bit) plus a small array of holder entries — and an
+//    uncontended tuple/intent Acquire is one CAS on the mode-word, never
+//    touching the table mutex. The slow path *seals* a slot (sets the
+//    mode-word's sealed bit and drains in-flight fast operations)
+//    whenever it has any interest in it — a waiter, a bucket hold, an
+//    in-progress slow acquire — so a fast grant can never race a waiter's
+//    wakeup or an exact conflict check. Relation-level requests, which
+//    must see every tuple hold of their relation, raise a per-relation
+//    guard counter instead; fast grants re-check the guard after their
+//    CAS (a store-buffering/Dekker pair), so either the fast grant becomes
+//    visible to the relation-level scan or it observes the guard and
+//    retreats to the slow path.
 //  * Transaction state lives in a separately striped registry; the
 //    aborted/blocking flags are atomics so commit-time victimization and
-//    chaos-injected aborts never touch a lock shard.
-//  * The waits-for graph (deadlock detection) sits behind one slow-path
-//    mutex that is touched only when a request actually blocks — the
-//    grant fast path never takes it. Cycles spanning shards are detected
-//    because the graph is global even though the lock table is not.
-//  * CollectRcVictims is a per-shard sweep over the shards the
-//    committer's Wa set touches, merged into one victim set. This is
-//    stable outside any global section because Rc-vs-Wa is incompatible
-//    in Table 4.1: no *new* conflicting Rc can be granted while the
-//    committer still holds its Wa locks (a fast Wa in the mode-word
-//    blocks fast Rc grants on its slot the same way a sealed slot does).
+//    chaos-injected aborts never touch the lock table.
+//
+// Every wait, cycle check and waits-for edge registration runs under the
+// table mutex, so a cycle check always sees every registered edge.
+// CollectRcVictims sweeps the committer's Wa set under the same mutex;
+// the result is stable because Rc-vs-Wa is incompatible in Table 4.1: no
+// *new* conflicting Rc can be granted while the committer still holds
+// its Wa locks (a fast Wa in the mode-word blocks fast Rc grants on its
+// slot the same way a sealed slot does).
 //
 // Hierarchy: a tuple-level request also checks the relation-level bucket
 // of its relation, and a relation-level request checks the per-relation
@@ -81,17 +74,6 @@
 
 namespace dbps {
 
-/// Default lock-table stripe count: std::thread::hardware_concurrency()
-/// rounded up to a power of two, floored at 8. Rationale: with fewer
-/// stripes than cores, independent relations contend on stripe mutexes
-/// even when their lock sets are disjoint; rounding to a power of two
-/// keeps the relation-hash modulo cheap and the stripe population even;
-/// the floor keeps small hosts (and hardware_concurrency() == 0, which
-/// the standard permits) at the pre-auto-sizing default of 8. This is the
-/// first step of the ROADMAP NUMA item — `--lock-shards` stays as an
-/// explicit override.
-size_t DefaultNumLockShards();
-
 /// \brief Observable lock-manager events (used by the figure-4.2 trace
 /// bench and by tests).
 struct LockEvent {
@@ -115,39 +97,33 @@ class LockManager {
     LockProtocol protocol = LockProtocol::kRcRaWa;
     /// Upper bound on a single wait; expiring yields kLockTimeout.
     std::chrono::milliseconds wait_timeout{10000};
-    /// Lock-table stripes (clamped to >= 1). Every object of one relation
-    /// hashes to the same shard, so the hierarchy check is shard-local;
-    /// striping distributes *relations* across shards. Defaults to
-    /// DefaultNumLockShards() — sized from the host's core count.
-    size_t num_shards = DefaultNumLockShards();
-    /// Enables the lock-free CAS grant fast path. Off, every acquire
-    /// takes the shard mutex (the pre-fast-path behavior) — kept as an
-    /// ablation/debug switch; semantics are identical either way.
-    bool fast_path = true;
-    /// Optional event sink. Contract (changed when the table was
-    /// striped): events are buffered inside the manager's critical
-    /// sections and emitted only after every internal lock has been
-    /// dropped, so the sink may block, take its own locks, and even call
-    /// back into the manager. It may be invoked concurrently from
-    /// different threads; events of one thread arrive in that thread's
-    /// order, but there is no total order across threads. Sinks shared
-    /// by concurrent transactions must synchronize internally.
+    /// Optional event sink. Contract: events are buffered inside the
+    /// manager's critical sections and emitted only after every internal
+    /// lock has been dropped, so the sink may block, take its own locks,
+    /// and even call back into the manager. It may be invoked
+    /// concurrently from different threads; events of one thread arrive
+    /// in that thread's order, but there is no total order across
+    /// threads. Sinks shared by concurrent transactions must synchronize
+    /// internally.
     std::function<void(const LockEvent&)> trace;
   };
 
-  /// Per-stripe contention counters (observability for the sharded
-  /// refactor; surfaced through Stats::shards and EngineStats).
+  /// The lock table's contention counters. There is one table, so
+  /// Stats::shards always holds exactly one of these; it stays a vector
+  /// of per-table structs only because the benchmark harness under
+  /// perfbench/ reads `shards[i].acquires` and `shards[i].hold_ns`. A
+  /// change to the benchmark may flatten them into Stats.
   struct ShardStats {
-    uint64_t acquires = 0;  ///< slow-path grants (incl. re-acquires) here
-    uint64_t waits = 0;     ///< requests that blocked at least once here
-    /// Shard-mutex acquisitions that found the mutex already held (a
-    /// try_lock failed first) — the direct measure of stripe contention.
+    uint64_t acquires = 0;  ///< slow-path grants (incl. re-acquires)
+    uint64_t waits = 0;     ///< requests that blocked at least once
+    /// Table-mutex acquisitions that found the mutex already held (a
+    /// try_lock failed first) — the direct measure of table contention.
     uint64_t mutex_contentions = 0;
-    /// Total shard-mutex hold time of non-blocking acquires, nanoseconds.
-    /// (Blocking acquires park on the shard condvar and are excluded;
+    /// Total table-mutex hold time of non-blocking acquires, nanoseconds.
+    /// (Blocking acquires park on the table condvar and are excluded;
     /// they are counted in `waits` instead.)
     uint64_t hold_ns = 0;
-    /// Grants served by the lock-free CAS fast path (no shard mutex).
+    /// Grants served by the lock-free CAS fast path (no table mutex).
     uint64_t fast_path_grants = 0;
     /// Failed mode-word CAS attempts that were retried (fast-path churn).
     uint64_t fast_path_cas_retries = 0;
@@ -172,10 +148,10 @@ class LockManager {
     uint64_t unknown_releases = 0;
     /// Transactions escalated to blocking (2PL-style) acquisition.
     uint64_t blocking_txns = 0;
-    /// Aggregates of the per-shard fast-path counters.
+    /// The fast-path counters (the same values as shards[0]'s).
     uint64_t fast_path_grants = 0;
     uint64_t fast_path_cas_retries = 0;
-    /// One entry per lock-table stripe.
+    /// Exactly one entry: the lock table's (see ShardStats).
     std::vector<ShardStats> shards;
   };
 
@@ -185,14 +161,6 @@ class LockManager {
   LockManager& operator=(const LockManager&) = delete;
 
   LockProtocol protocol() const { return options_.protocol; }
-
-  size_t num_shards() const { return shards_.size(); }
-
-  /// The stripe `object` hashes to — exposed so tests and benches can
-  /// construct same-shard / cross-shard scenarios deterministically.
-  size_t ShardOf(const LockObjectId& object) const {
-    return ShardIndex(object.relation);
-  }
 
   /// Starts a transaction (one production firing).
   TxnId Begin();
@@ -211,8 +179,7 @@ class LockManager {
   ///     (tuple write or insert intent),
   ///   * tuple-level Rc in a relation where `txn` holds relation-level Wa.
   /// Under kTwoPhase this is always empty (conflicts blocked earlier).
-  /// Implemented as a per-shard sweep of the shards the Wa set touches;
-  /// the result is stable until `txn` releases its Wa locks (Rc-vs-Wa is
+  /// The result is stable until `txn` releases its Wa locks (Rc-vs-Wa is
   /// incompatible, so no new conflicting Rc can be granted meanwhile).
   std::vector<TxnId> CollectRcVictims(TxnId txn) const;
 
@@ -254,22 +221,22 @@ class LockManager {
 
   // --- Fast-path geometry (tests/benches) ---------------------------------
 
-  /// Fast-path slots per shard; objects map to slots by hash, so distinct
+  /// Fast-path slots; objects map to slots by hash, so distinct
   /// objects may share a slot (sharing is only a performance effect: a
   /// slot aggregates the mode counts of every object hashing to it, which
   /// can make a fast grant fall back to the slow path, never the
   /// reverse).
-  static constexpr size_t kFastSlotsPerShard = 256;
+  static constexpr size_t kFastSlots = 256;
   /// Holder entries per fast slot: at most this many distinct
   /// transactions can hold fast grants in one slot at once; overflow
   /// falls back to the slow path.
   static constexpr size_t kFastHolderSlots = 4;
-  /// Relation-guard counters per shard (relation-level slow-path activity
-  /// hashes here; a raised guard routes the relation's tuple acquires to
-  /// the slow path).
-  static constexpr size_t kRelGuardsPerShard = 64;
+  /// Relation-guard counters (relation-level slow-path activity hashes
+  /// here; a raised guard routes the relation's tuple acquires to the
+  /// slow path).
+  static constexpr size_t kRelGuards = 64;
 
-  /// The fast slot `object` maps to within its shard (tests).
+  /// The fast slot `object` maps to (tests).
   static size_t FastSlotIndex(const LockObjectId& object);
 
  private:
@@ -278,7 +245,7 @@ class LockManager {
   /// A transaction's hold on one object, split by grant path. `fast` is
   /// component-wise <= `counts`; the difference is the slow-path (bucket)
   /// part. Fast counts are mirrored in the object's FastSlot mode-word,
-  /// slow counts in the shard bucket (and relation summary).
+  /// slow counts in the table's bucket (and relation summary).
   struct HoldCounts {
     ModeCounts counts{};  ///< total grants per mode
     ModeCounts fast{};    ///< fast-path grants per mode
@@ -299,10 +266,10 @@ class LockManager {
     std::array<std::atomic<uint64_t>, kFastHolderSlots> holders{};
   };
 
-  /// One lock-table stripe. `mu` guards `buckets`, `relation_summaries`,
-  /// `seal_refs`, and `stats`; `cv` parks requests blocked on objects of
-  /// this shard. The fast-path members are atomics touched without `mu`.
-  struct Shard {
+  /// The lock table. `mu` guards `buckets`, `relation_summaries`,
+  /// `seal_refs`, `waits_for` and `stats`; `cv` parks blocked requests.
+  /// The fast-path members are atomics touched without `mu`.
+  struct Table {
     mutable std::mutex mu;
     std::condition_variable cv;
     std::unordered_map<LockObjectId, Bucket, LockObjectIdHash> buckets;
@@ -311,32 +278,35 @@ class LockManager {
     /// are found through the FastSlot holder entries instead.
     std::unordered_map<SymbolId, std::unordered_map<TxnId, ModeCounts>>
         relation_summaries;
+    /// Waits-for edges of currently blocked requesters (deadlock
+    /// detection; touched only when a request blocks).
+    std::unordered_map<TxnId, std::vector<TxnId>> waits_for;
     ShardStats stats;
     /// The lock-free grant slots (see FastSlot).
-    std::array<FastSlot, kFastSlotsPerShard> fast;
+    std::array<FastSlot, kFastSlots> fast;
     /// Slow-path interest per fast slot (guarded by mu): in-progress slow
     /// acquires targeting the slot + bucket (object, txn) pairs of
     /// tuple/intent objects living in it. Nonzero <=> slot sealed.
-    std::array<uint32_t, kFastSlotsPerShard> seal_refs{};
+    std::array<uint32_t, kFastSlots> seal_refs{};
     /// Relation-level slow-path activity per relation hash (atomic: read
     /// by the fast path without mu): in-progress relation-level acquires
     /// + one count per granted relation-level lock. Nonzero routes the
     /// relation's tuple/intent acquires to the slow path.
-    std::array<std::atomic<uint32_t>, kRelGuardsPerShard> rel_guards{};
+    std::array<std::atomic<uint32_t>, kRelGuards> rel_guards{};
     std::atomic<uint64_t> fast_grants{0};
     std::atomic<uint64_t> fast_cas_retries{0};
   };
 
   struct TxnState {
     /// Set by conflicting committers (Rc–Wa rule) and injected aborts; read on
-    /// every Acquire. Atomic so marking never touches a lock shard.
+    /// every Acquire. Atomic so marking never touches the lock table.
     std::atomic<bool> aborted{false};
     /// 2PL-style acquisition (starvation escalation); see SetBlocking.
     std::atomic<bool> blocking{false};
     /// Guards `holds`. Normally only the owning thread touches it, but
     /// Holds()/Release() and fast-path conflict inspection may be called
-    /// cross-thread, so it is locked. Lock order is shard.mu -> state.mu
-    /// (leaf); it is never held while taking a shard mutex.
+    /// cross-thread, so it is locked. Lock order is table mu -> state.mu
+    /// (leaf); it is never held while taking the table mutex.
     mutable std::mutex mu;
     /// object -> per-mode hold counts (total + fast split). A fast
     /// acquire publishes its tentative hold here *before* its mode-word
@@ -377,11 +347,6 @@ class LockManager {
 
   class SlowAcquireRef;  // RAII for slow-path seal/guard bookkeeping
 
-  size_t ShardIndex(SymbolId relation) const;
-  Shard& ShardForObject(const LockObjectId& object) {
-    return *shards_[ShardIndex(object.relation)];
-  }
-
   static size_t RelGuardIndex(SymbolId relation);
 
   TxnPtr FindTxn(TxnId txn) const;
@@ -399,15 +364,15 @@ class LockManager {
   /// mode (Table 4.1, including Wa-over-Rc under kRcRaWa) and the slot is
   /// unsealed, re-checks the relation guard (Dekker), and claims a holder
   /// entry. Any failure retracts everything and reports false (fall back
-  /// to the slow path). Never blocks, never takes the shard mutex.
-  bool TryFastAcquire(Shard& shard, const TxnPtr& state, TxnId txn,
+  /// to the slow path). Never blocks, never takes the table mutex.
+  bool TryFastAcquire(const TxnPtr& state, TxnId txn,
                       const LockObjectId& object, LockMode mode);
 
   /// Registers/unregisters slow-path interest in a fast slot (both
-  /// require shard.mu). The 0->1 transition seals the slot and drains
+  /// require table_.mu). The 0->1 transition seals the slot and drains
   /// in-flight fast operations; the 1->0 transition unseals it.
-  void AddSealRef(Shard& shard, size_t slot_index) const;
-  void DropSealRef(Shard& shard, size_t slot_index) const;
+  void AddSealRef(size_t slot_index);
+  void DropSealRef(size_t slot_index);
 
   /// Spins until the slot's holder entries account for every mode-word
   /// count — i.e. no fast operation is in flight. Callers must have cut
@@ -434,23 +399,21 @@ class LockManager {
   /// relation-level (txn, mode) request. Requires the relation guard
   /// raised (no new fast grant in the relation can land); drains each
   /// active slot before enumerating it.
-  void CollectFastRelationConflicts(const Shard& shard, TxnId txn,
-                                    bool requester_blocking,
+  void CollectFastRelationConflicts(TxnId txn, bool requester_blocking,
                                     SymbolId relation, LockMode mode,
                                     std::vector<TxnId>* out) const;
 
-  /// Conflicting holders within one bucket under the striped protocol
-  /// rules. `requester_blocking` caches the requester's escalation state.
-  /// Requires the owning shard's mu held.
+  /// Conflicting holders within one bucket under the protocol rules.
+  /// `requester_blocking` caches the requester's escalation state.
+  /// Requires table_.mu.
   void CollectBucketConflicts(const Bucket& bucket, TxnId txn,
                               bool requester_blocking, LockMode mode,
                               std::vector<TxnId>* out) const;
 
   /// All transactions (other than `txn`) whose holds on relevant buckets
-  /// of `shard` — or fast slots — conflict with (object, mode). Requires
-  /// shard.mu held and the object's slow-path seal/guard registered.
-  std::vector<TxnId> FindConflicts(const Shard& shard, TxnId txn,
-                                   bool requester_blocking,
+  /// — or fast slots — conflict with (object, mode). Requires table_.mu
+  /// and the object's slow-path seal/guard registered.
+  std::vector<TxnId> FindConflicts(TxnId txn, bool requester_blocking,
                                    const LockObjectId& object,
                                    LockMode mode) const;
 
@@ -460,32 +423,22 @@ class LockManager {
                            TxnId holder, const ModeCounts& counts) const;
 
   /// True iff adding edge txn -> blockers closes a cycle. Requires
-  /// slow_mu_.
+  /// table_.mu.
   bool WouldDeadlock(TxnId txn, const std::vector<TxnId>& blockers) const;
 
-  /// Marks `state` aborted and wakes any shard it may be parked on.
-  /// Must be called with NO shard mutex held (it fences every shard's
-  /// mutex to close the check-then-wait race).
+  /// Marks `state` aborted and wakes it if it is parked. Must be called
+  /// without table_.mu held (it fences the mutex to close the
+  /// check-then-wait race).
   void MarkAbortedTxn(TxnId txn, const TxnPtr& state, TraceBuffer* events);
-
-  /// Lock/unlock every shard mutex in turn (never nested) and notify its
-  /// condvar — the lost-wakeup fence for flag-only state changes.
-  void NotifyAllShardsFenced();
 
   Options options_;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  Table table_;
   std::array<TxnStripe, kTxnStripes> txn_stripes_;
-
-  /// Slow path only: waits-for edges of currently blocked requesters.
-  /// Touched exclusively when a request blocks (register/erase/DFS) —
-  /// never on the grant fast path.
-  mutable std::mutex slow_mu_;
-  std::unordered_map<TxnId, std::vector<TxnId>> waits_for_;
 
   std::atomic<TxnId> next_txn_{1};
 
-  // Aggregate counters (Stats); per-shard counters live in Shard::stats.
+  // Aggregate counters (Stats); the table's own live in table_.stats.
   std::atomic<uint64_t> acquired_{0};
   std::atomic<uint64_t> blocked_{0};
   std::atomic<uint64_t> deadlocks_{0};

@@ -168,13 +168,32 @@ std::vector<InstPtr> ConflictSet::Snapshot() const {
   return out;
 }
 
-std::vector<InstPtr> ConflictSet::SelectableSnapshot() const {
+std::vector<InstPtr> ConflictSet::SelectableInOrder(
+    ConflictResolution strategy, Random* rng) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<InstPtr> out;
-  out.reserve(active_.size());
+  std::vector<const Entry*> entries;
+  entries.reserve(num_selectable_);
   for (const auto& [key, entry] : active_) {
-    if (!entry.claimed) out.push_back(entry.inst);
+    if (!entry.claimed) entries.push_back(&entry);
   }
+  if (strategy == ConflictResolution::kRandom) {
+    // Sorted by key text first, so the shuffle does not inherit
+    // active_'s iteration order.
+    DBPS_CHECK(rng != nullptr);
+    std::vector<std::pair<std::string, const Entry*>> keyed;
+    keyed.reserve(entries.size());
+    for (const Entry* entry : entries) {
+      keyed.emplace_back(entry->inst->key().ToString(), entry);
+    }
+    std::sort(keyed.begin(), keyed.end());
+    rng->Shuffle(&keyed);
+    for (size_t i = 0; i < keyed.size(); ++i) entries[i] = keyed[i].second;
+  } else {
+    std::sort(entries.begin(), entries.end(), DominanceOrder{strategy});
+  }
+  std::vector<InstPtr> out;
+  out.reserve(entries.size());
+  for (const Entry* entry : entries) out.push_back(entry->inst);
   return out;
 }
 

@@ -118,8 +118,12 @@ class ConflictSet {
   /// Snapshot of all active instantiations (unspecified order).
   std::vector<InstPtr> Snapshot() const;
 
-  /// Snapshot of only the selectable (unclaimed) instantiations.
-  std::vector<InstPtr> SelectableSnapshot() const;
+  /// The selectable (unclaimed) instantiations, dominant first under
+  /// `strategy`: the order successive Claims would take them with no
+  /// claim in flight. kRandom shuffles them (sorted by key text first)
+  /// with `rng`, which only kRandom consults.
+  std::vector<InstPtr> SelectableInOrder(ConflictResolution strategy,
+                                         Random* rng) const;
 
   std::string ToString() const;
 

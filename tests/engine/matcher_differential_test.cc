@@ -20,6 +20,7 @@
 
 #include <cctype>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -138,7 +139,10 @@ INSTANTIATE_TEST_SUITE_P(
 // strategy, under Rete or TREAT, must write the same journal. (The
 // matchers' memories are pointer-keyed, so the order in which one
 // propagation activates instantiations follows the layout.)
-TEST(MatcherDifferentialTest, FifoAndRandomJournalsIgnoreHeapLayout) {
+using EngineRun =
+    std::function<RunResult(WorkingMemory*, RuleSetPtr, EngineOptions)>;
+
+void ExpectFifoAndRandomJournalsIgnoreHeapLayout(const EngineRun& run) {
   const std::string source = ReadExample("manners.dbps");
   for (ConflictResolution strategy :
        {ConflictResolution::kFifo, ConflictResolution::kRandom}) {
@@ -156,10 +160,8 @@ TEST(MatcherDifferentialTest, FifoAndRandomJournalsIgnoreHeapLayout) {
         EngineOptions options;
         options.strategy = strategy;
         options.matcher = matcher;
-        SingleThreadEngine engine(&wm, rules_or.ValueOrDie(), options);
-        auto result_or = engine.Run();
-        ASSERT_TRUE(result_or.ok()) << result_or.status();
-        journals.push_back(JournalText(result_or.ValueOrDie()));
+        journals.push_back(
+            JournalText(run(&wm, rules_or.ValueOrDie(), options)));
         ASSERT_FALSE(journals.back().empty());
         EXPECT_EQ(journals.front(), journals.back())
             << ConflictResolutionToString(strategy) << " "
@@ -167,6 +169,31 @@ TEST(MatcherDifferentialTest, FifoAndRandomJournalsIgnoreHeapLayout) {
       }
     }
   }
+}
+
+TEST(MatcherDifferentialTest, FifoAndRandomJournalsIgnoreHeapLayout) {
+  ExpectFifoAndRandomJournalsIgnoreHeapLayout(
+      [](WorkingMemory* wm, RuleSetPtr rules, EngineOptions options) {
+        SingleThreadEngine engine(wm, std::move(rules), options);
+        auto result_or = engine.Run();
+        DBPS_CHECK(result_or.ok()) << result_or.status();
+        return std::move(result_or).ValueOrDie();
+      });
+}
+
+// The static-partition engine ranks each cycle's candidates in the
+// conflict set's order too, so its journals ignore the layout as well.
+TEST(MatcherDifferentialTest, StaticEngineFifoAndRandomJournalsIgnoreHeapLayout) {
+  ExpectFifoAndRandomJournalsIgnoreHeapLayout(
+      [](WorkingMemory* wm, RuleSetPtr rules, EngineOptions options) {
+        StaticPartitionOptions static_options;
+        static_options.base = options;
+        static_options.num_workers = 2;
+        StaticPartitionEngine engine(wm, std::move(rules), static_options);
+        auto result_or = engine.Run();
+        DBPS_CHECK(result_or.ok()) << result_or.status();
+        return std::move(result_or).ValueOrDie();
+      });
 }
 
 TEST(MatcherDifferentialTest, TreatInnerMatcherAgreesToo) {

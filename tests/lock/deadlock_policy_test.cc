@@ -2,7 +2,7 @@
 // unchanged to Rc/Ra/Wa locking): waits-for detection is the one policy.
 // Engine-level consistency under it for both protocols, and deadlocks
 // that cross the rule/client boundary. The lock-level detection cases
-// live in lock_manager_test, striped_lock_test and fast_path_test.
+// live in lock_manager_test and fast_path_test.
 
 #include <gtest/gtest.h>
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "lock/lock_manager.h"
 #include "util/failpoint.h"
@@ -513,6 +517,201 @@ TEST(LockManager, Figure44CircularConflictOnlyOneSurvives) {
   ASSERT_EQ(pj_victims.size(), 1u);
   EXPECT_EQ(pi_victims[0], pj);
   EXPECT_EQ(pj_victims[0], pi);
+}
+
+// --- several relations, counters, the trace sink -------------------------
+
+TEST(LockManager, DeadlockCycleAcrossTwoRelations) {
+  // Each transaction's wait is on an object of a different relation; the
+  // waits-for graph spans relations, so the cycle is still found.
+  LockManager lm(FastOptions(LockProtocol::kTwoPhase));
+  TxnId t1 = lm.Begin(), t2 = lm.Begin();
+  ASSERT_TRUE(lm.Acquire(t1, Tuple("cycle-a", 1), LockMode::kWa).ok());
+  ASSERT_TRUE(lm.Acquire(t2, Tuple("cycle-b", 1), LockMode::kWa).ok());
+
+  // t1 blocks on t2's object in relation b...
+  auto blocked = std::async(std::launch::async, [&] {
+    return lm.Acquire(t1, Tuple("cycle-b", 1), LockMode::kWa);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // ...then t2 requests t1's object in relation a, closing the cycle.
+  Status st2 = lm.Acquire(t2, Tuple("cycle-a", 1), LockMode::kWa);
+  if (st2.IsDeadlock()) {
+    // The common order: t1's wait was registered first, so t2's request
+    // closed the cycle and t2 is the victim. Its release unblocks t1.
+    lm.Release(t2);
+    Status st1 = blocked.get();
+    EXPECT_TRUE(st1.ok()) << st1.ToString();
+  } else {
+    // Rare order (t2's request beat t1's block): t1 closed the cycle.
+    Status st1 = blocked.get();
+    EXPECT_TRUE(st1.IsDeadlock()) << st1.ToString();
+    // t2 stays blocked behind t1's surviving Wa hold until the timeout;
+    // either outcome is fine — no cycle remains.
+    EXPECT_TRUE(st2.ok() || st2.IsLockTimeout()) << st2.ToString();
+    lm.Release(t2);
+  }
+  EXPECT_GE(lm.GetStats().deadlocks, 1u);
+  lm.Release(t1);
+  EXPECT_EQ(lm.live_transactions(), 0u);
+}
+
+TEST(LockManager, RcVictimsAcrossRelations) {
+  // Readers: tuple-level Rc in relation a, tuple-level and relation-level
+  // Rc in relation b. One reader (both_reader) reads in both relations —
+  // the victim set must still name it once.
+  LockManager lm(FastOptions(LockProtocol::kRcRaWa));
+  TxnId reader_a = lm.Begin(), reader_b = lm.Begin(),
+        rel_reader_b = lm.Begin(), both_reader = lm.Begin(),
+        bystander = lm.Begin();
+  ASSERT_TRUE(lm.Acquire(reader_a, Tuple("victim-a", 1), LockMode::kRc).ok());
+  ASSERT_TRUE(lm.Acquire(reader_b, Tuple("victim-b", 2), LockMode::kRc).ok());
+  ASSERT_TRUE(
+      lm.Acquire(rel_reader_b, Relation("victim-b"), LockMode::kRc).ok());
+  ASSERT_TRUE(
+      lm.Acquire(both_reader, Tuple("victim-a", 1), LockMode::kRc).ok());
+  ASSERT_TRUE(
+      lm.Acquire(both_reader, Tuple("victim-b", 2), LockMode::kRc).ok());
+  // Unrelated tuple: must NOT be victimized.
+  ASSERT_TRUE(
+      lm.Acquire(bystander, Tuple("victim-a", 99), LockMode::kRc).ok());
+
+  // The committer's Wa set spans both relations.
+  TxnId writer = lm.Begin();
+  ASSERT_TRUE(lm.Acquire(writer, Tuple("victim-a", 1), LockMode::kWa).ok());
+  ASSERT_TRUE(lm.Acquire(writer, Tuple("victim-b", 2), LockMode::kWa).ok());
+
+  std::vector<TxnId> victims = lm.CollectRcVictims(writer);
+  std::sort(victims.begin(), victims.end());
+  EXPECT_EQ(victims, (std::vector<TxnId>{reader_a, reader_b, rel_reader_b,
+                                         both_reader}));
+
+  for (TxnId t :
+       {reader_a, reader_b, rel_reader_b, both_reader, bystander, writer}) {
+    lm.Release(t);
+  }
+  EXPECT_EQ(lm.live_transactions(), 0u);
+}
+
+TEST(LockManager, TableCountersAccountForEveryGrant) {
+  LockManager lm(FastOptions(LockProtocol::kRcRaWa));
+  TxnId t = lm.Begin();
+  for (WmeId id = 1; id <= 5; ++id) {
+    ASSERT_TRUE(lm.Acquire(t, Tuple("count-a", id), LockMode::kRc).ok());
+  }
+  ASSERT_TRUE(lm.Acquire(t, Tuple("count-b", 1), LockMode::kRc).ok());
+  ASSERT_TRUE(lm.Acquire(t, Relation("count-b"), LockMode::kRc).ok());
+  lm.Release(t);
+
+  LockManager::Stats stats = lm.GetStats();
+  // One lock table, one entry (the benchmark harness reads shards[i]).
+  ASSERT_EQ(stats.shards.size(), 1u);
+  // The six uncontended tuple grants were fast; the relation-level one
+  // is always slow. Fast plus slow grants are every grant.
+  EXPECT_EQ(stats.fast_path_grants, 6u);
+  EXPECT_EQ(stats.shards[0].fast_path_grants, 6u);
+  EXPECT_EQ(stats.shards[0].acquires, 1u);
+  EXPECT_EQ(stats.shards[0].acquires + stats.shards[0].fast_path_grants,
+            stats.acquired);
+}
+
+TEST(LockManager, WaitCountersCountBlockedAcquires) {
+  LockManager lm(FastOptions(LockProtocol::kTwoPhase));
+  TxnId holder = lm.Begin(), waiter = lm.Begin();
+  ASSERT_TRUE(lm.Acquire(holder, Tuple("wait-counter", 1), LockMode::kWa).ok());
+  auto blocked = std::async(std::launch::async, [&] {
+    return lm.Acquire(waiter, Tuple("wait-counter", 1), LockMode::kWa);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  lm.Release(holder);
+  ASSERT_TRUE(blocked.get().ok());
+  lm.Release(waiter);
+
+  EXPECT_GE(lm.GetStats().shards[0].waits, 1u);
+  EXPECT_GE(lm.GetStats().blocked, 1u);
+}
+
+// Events are buffered inside the manager's critical sections and emitted
+// only after every internal lock is dropped, so a sink may call straight
+// back into the manager.
+
+TEST(LockManager, TraceSinkMayReenterTheManager) {
+  LockManager* manager = nullptr;
+  std::mutex sink_mu;
+  std::vector<LockEvent> events;
+
+  LockManager::Options options = FastOptions(LockProtocol::kRcRaWa);
+  options.trace = [&](const LockEvent& event) {
+    // Reentrancy: query the manager from inside the sink.
+    if (manager != nullptr) {
+      (void)manager->IsAborted(event.txn);
+      (void)manager->Holds(event.txn, event.object, event.mode);
+      (void)manager->GetStats();
+    }
+    std::lock_guard<std::mutex> lock(sink_mu);
+    events.push_back(event);
+  };
+  LockManager lm(options);
+  manager = &lm;
+
+  TxnId t1 = lm.Begin(), t2 = lm.Begin();
+  ASSERT_TRUE(lm.Acquire(t1, Tuple("trace-rel", 1), LockMode::kRc).ok());
+  ASSERT_TRUE(lm.Acquire(t2, Tuple("trace-rel", 1), LockMode::kWa).ok());
+  for (TxnId victim : lm.CollectRcVictims(t2)) lm.MarkAborted(victim);
+  lm.Release(t1);
+  lm.Release(t2);
+
+  std::lock_guard<std::mutex> lock(sink_mu);
+  auto count = [&](LockEvent::Kind kind) {
+    return std::count_if(events.begin(), events.end(),
+                         [&](const LockEvent& e) { return e.kind == kind; });
+  };
+  EXPECT_EQ(count(LockEvent::Kind::kGrant), 2);
+  EXPECT_EQ(count(LockEvent::Kind::kAbortMark), 1);
+  EXPECT_EQ(count(LockEvent::Kind::kRelease), 2);
+}
+
+/// Hammer one manager from many threads with the reentrant sink attached:
+/// under TSan this is the no-lock-held-at-emission proof.
+TEST(LockManager, ConcurrentTrafficWithReentrantSink) {
+  LockManager* manager = nullptr;
+  std::atomic<uint64_t> observed{0};
+
+  // A short wait: a conflicting request gives up with kLockTimeout
+  // instead of holding its thread for the default 2 s.
+  LockManager::Options options = FastOptions(LockProtocol::kRcRaWa);
+  options.wait_timeout = std::chrono::milliseconds(5);
+  options.trace = [&](const LockEvent& event) {
+    if (manager != nullptr) (void)manager->IsAborted(event.txn);
+    observed.fetch_add(1, std::memory_order_relaxed);
+  };
+  LockManager lm(options);
+  manager = &lm;
+
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 50;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        TxnId txn = lm.Begin();
+        LockObjectId object{Sym("hammer-" + std::to_string(op % 7)),
+                            static_cast<WmeId>(op % 5)};
+        (void)lm.Acquire(txn, object, LockMode::kRc);
+        if ((op + i) % 3 == 0) {
+          if (lm.Acquire(txn, object, LockMode::kWa).ok()) {
+            for (TxnId victim : lm.CollectRcVictims(txn)) {
+              lm.MarkAborted(victim);
+            }
+          }
+        }
+        lm.Release(txn);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(lm.live_transactions(), 0u);
+  EXPECT_GT(observed.load(), 0u);
 }
 
 }  // namespace

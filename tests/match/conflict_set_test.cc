@@ -131,7 +131,30 @@ TEST(ConflictSet, SnapshotsDistinguishClaimed) {
   Random rng(1);
   cs.Claim(ConflictResolution::kLex, &rng);
   EXPECT_EQ(cs.Snapshot().size(), 2u);
-  EXPECT_EQ(cs.SelectableSnapshot().size(), 1u);
+  EXPECT_EQ(cs.SelectableInOrder(ConflictResolution::kLex, nullptr).size(),
+            1u);
+}
+
+TEST(ConflictSet, SelectableInOrderIsTheClaimOrder) {
+  for (ConflictResolution strategy :
+       {ConflictResolution::kPriority, ConflictResolution::kLex,
+        ConflictResolution::kMea, ConflictResolution::kFifo}) {
+    ConflictSet cs;
+    for (WmeId id = 1; id <= 6; ++id) {
+      if (id % 2 == 1) cs.BeginPropagation();
+      cs.Activate(MakeInst(MakeRule("r"), id, 7 - id));
+    }
+    std::vector<InstPtr> ordered = cs.SelectableInOrder(strategy, nullptr);
+    ASSERT_EQ(ordered.size(), 6u);
+    Random rng(1);
+    for (const InstPtr& expected : ordered) {
+      InstPtr claimed = cs.Claim(strategy, &rng);
+      ASSERT_NE(claimed, nullptr);
+      EXPECT_EQ(claimed->key(), expected->key())
+          << ConflictResolutionToString(strategy);
+      cs.MarkFired(claimed->key());
+    }
+  }
 }
 
 // --- conflict resolution strategies --------------------------------------

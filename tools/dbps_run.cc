@@ -7,9 +7,6 @@
 //
 //   --engine=single|parallel|static   interpreter (default: single)
 //   --workers=N                       parallel/static worker count (4)
-//   --lock-shards=N                   lock-table shard count (parallel;
-//                                     default: hardware concurrency
-//                                     rounded up to a power of two, min 8)
 //   --commit-batch=N                  max commits the sequencer head folds
 //                                     into one ordered batch (8; 1
 //                                     disables batching)
@@ -86,7 +83,6 @@ using namespace dbps;
 struct Flags {
   std::string engine = "single";
   size_t workers = 4;
-  size_t lock_shards = DefaultNumLockShards();
   size_t commit_batch = 8;
   LockProtocol protocol = LockProtocol::kRcRaWa;
   AbortPolicy abort_policy = AbortPolicy::kAbort;
@@ -120,7 +116,7 @@ struct Flags {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--engine=single|parallel|static] [--workers=N]\n"
-               "  [--lock-shards=N] [--commit-batch=N]\n"
+               "  [--commit-batch=N]\n"
                "  [--protocol=2pl|rcrawa] [--abort-policy=abort|revalidate]\n"
                "  [--strategy=priority|lex|mea|fifo|random] [--seed=N]\n"
                "  [--max-firings=N] [--matcher=rete|naive|treat]\n"
@@ -168,8 +164,6 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       flags.engine = value;
     } else if (ParseFlag(arg, "workers", &value)) {
       flags.workers = std::stoul(value);
-    } else if (ParseFlag(arg, "lock-shards", &value)) {
-      flags.lock_shards = std::stoul(value);
     } else if (ParseFlag(arg, "commit-batch", &value)) {
       flags.commit_batch = std::stoul(value);
       if (flags.commit_batch == 0) {
@@ -393,20 +387,15 @@ StatusOr<RunResult> ServeSessions(const Flags& flags, WorkingMemory* wm,
   return result;
 }
 
-/// The lock table's per-shard contention, summed: appended to the
-/// parallel engine's summary line (empty for the serial engines).
-std::string LockShardSummary(const LockManager::Stats& stats) {
+/// The lock table's contention: appended to the parallel engine's
+/// summary line (empty for the serial engines).
+std::string LockTableSummary(const LockManager::Stats& stats) {
   if (stats.shards.empty()) return "";
-  uint64_t waits = 0, contentions = 0;
-  for (const LockManager::ShardStats& shard : stats.shards) {
-    waits += shard.waits;
-    contentions += shard.mutex_contentions;
-  }
-  return StringPrintf(" lock_shards=%zu shard_waits=%llu "
-                      "shard_mutex_contentions=%llu fast_path_grants=%llu "
-                      "fast_path_cas_retries=%llu",
-                      stats.shards.size(), (unsigned long long)waits,
-                      (unsigned long long)contentions,
+  const LockManager::ShardStats& table = stats.shards.front();
+  return StringPrintf(" lock_waits=%llu lock_mutex_contentions=%llu "
+                      "fast_path_grants=%llu fast_path_cas_retries=%llu",
+                      (unsigned long long)table.waits,
+                      (unsigned long long)table.mutex_contentions,
                       (unsigned long long)stats.fast_path_grants,
                       (unsigned long long)stats.fast_path_cas_retries);
 }
@@ -498,7 +487,6 @@ int Run(const Flags& flags) {
     ParallelEngineOptions options;
     options.base = base;
     options.num_workers = flags.workers;
-    options.num_lock_shards = flags.lock_shards;
     options.commit_batch_limit = flags.commit_batch;
     options.protocol = flags.protocol;
     options.abort_policy = flags.abort_policy;
@@ -546,7 +534,7 @@ int Run(const Flags& flags) {
   if (!flags.quiet) {
     std::printf("%s engine: %s%s\n", flags.engine.c_str(),
                 result.stats.ToString().c_str(),
-                LockShardSummary(lock_stats).c_str());
+                LockTableSummary(lock_stats).c_str());
     if (flags.sessions > 0) {
       std::printf(
           "sessions: admitted=%llu peak=%zu txns=%llu commits=%llu "
