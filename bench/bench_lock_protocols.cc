@@ -5,8 +5,8 @@
 // uncontended fast-path sweep and an abort-storm report: the §4.3
 // livelock (a hot relation-level Rc under continuous writers) with
 // blocking escalation off vs on, showing the engine's robustness
-// counters. Each report row is timed `--reps=N` times (default 5) and
-// records the median wall time with its min and max.
+// counters. Each report row is timed kReportReps times and records the
+// median wall time with its min and max.
 
 #include <benchmark/benchmark.h>
 
@@ -131,6 +131,10 @@ void BM_RelationEscalationCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_RelationEscalationCheck)->Arg(4)->Arg(64);
 
+// Timed runs behind each report row (bench_multi_user's kMatchReps does
+// the same for its rows).
+constexpr size_t kReportReps = 5;
+
 // --- Uncontended fast-path sweep -------------------------------------------
 //
 // Single-threaded begin/acquire/release loops over DISTINCT tuples per
@@ -147,11 +151,11 @@ double FastHitPct(const LockManager::Stats& stats) {
              : 100.0 * stats.fast_path_grants / stats.acquired;
 }
 
-void PrintUncontendedSweepReport(size_t reps, bench::JsonReport* report) {
+void PrintUncontendedSweepReport(bench::JsonReport* report) {
   constexpr uint64_t kTxns = 20000;
   std::printf("uncontended sweep: %llu txns x {Rc,Ra,Wa} on distinct "
               "tuples, 1 thread, median (min-max) of %zu runs\n",
-              (unsigned long long)kTxns, reps);
+              (unsigned long long)kTxns, kReportReps);
   std::printf("  %-10s %24s %12s %12s %9s %9s\n", "protocol", "wall_ms",
               "grants", "fast_grants", "fast%", "cas_retry");
   for (LockProtocol protocol :
@@ -160,7 +164,7 @@ void PrintUncontendedSweepReport(size_t reps, bench::JsonReport* report) {
         protocol == LockProtocol::kTwoPhase ? "2pl" : "rcrawa";
     std::vector<double> walls;
     LockManager::Stats stats;
-    for (size_t rep = 0; rep < reps; ++rep) {
+    for (size_t rep = 0; rep < kReportReps; ++rep) {
       LockManager lm(Opts(protocol));
       SymbolId relation = Sym("r");
       Stopwatch stopwatch;
@@ -273,12 +277,12 @@ EngineStats RunAbortStorm(int escalate_after, size_t workers,
   return result.ValueOrDie().stats;
 }
 
-void PrintAbortStormReport(size_t reps, bench::JsonReport* report) {
+void PrintAbortStormReport(bench::JsonReport* report) {
   const size_t workers = bench::MaxBenchThreads(4);
   std::printf(
       "abort-storm: hot relation-level Rc vs continuous writers "
       "(kRcRaWa+kAbort, %zu workers), the median-wall run of %zu\n",
-      workers, reps);
+      workers, kReportReps);
   std::printf("  %-22s %8s %8s %8s %10s %10s %12s %24s\n", "escalation",
               "firings", "aborts", "retries", "maxstreak", "escalated",
               "backoff_us", "wall_ms");
@@ -290,7 +294,7 @@ void PrintAbortStormReport(size_t reps, bench::JsonReport* report) {
       EngineStats stats;
       LockManager::Stats lock_stats;
     };
-    std::vector<Run> runs(reps);
+    std::vector<Run> runs(kReportReps);
     std::vector<double> walls;
     for (Run& run : runs) {
       run.stats = RunAbortStorm(escalate_after, workers, &run.wall_ms,
@@ -338,10 +342,9 @@ void PrintAbortStormReport(size_t reps, bench::JsonReport* report) {
 }  // namespace dbps
 
 int main(int argc, char** argv) {
-  const size_t reps = dbps::bench::TakeRepsFlag(&argc, argv, 5);
   dbps::bench::JsonReport report("lock_protocols");
-  dbps::PrintUncontendedSweepReport(reps, &report);
-  dbps::PrintAbortStormReport(reps, &report);
+  dbps::PrintUncontendedSweepReport(&report);
+  dbps::PrintAbortStormReport(&report);
   report.WriteIfRequested();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -37,25 +37,6 @@ inline size_t MaxBenchThreads(size_t default_max) {
   return static_cast<size_t>(parsed);
 }
 
-// Timed repetitions per row from a `--reps=N` flag (clamped to >= 1),
-// which is removed from argv so the remaining flags can go to another
-// parser (google-benchmark's). `default_reps` when the flag is absent.
-inline size_t TakeRepsFlag(int* argc, char** argv, size_t default_reps) {
-  size_t reps = default_reps;
-  int kept = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--reps=", 0) == 0) {
-      const long parsed = std::strtol(arg.c_str() + 7, nullptr, 10);
-      reps = parsed < 1 ? 1 : static_cast<size_t>(parsed);
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  *argc = kept;
-  return reps;
-}
-
 // Per-operation latency samples with percentile reporting, shared by the
 // closed-loop session bench (bench_multi_user) and the network bench
 // (bench_net). Accumulate per worker thread, Merge into one recorder,

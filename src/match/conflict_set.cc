@@ -113,23 +113,33 @@ bool ConflictSet::InterferesLocked(const Instantiation& inst) const {
   return false;
 }
 
+std::vector<InstPtr> ConflictSet::UnclaimedByKeyTextLocked(
+    bool skip_interfering) const {
+  std::vector<std::pair<std::string, InstPtr>> keyed;
+  for (const auto& [key, entry] : active_) {
+    if (entry.claimed) continue;
+    if (skip_interfering && InterferesLocked(*entry.inst)) continue;
+    keyed.emplace_back(key.ToString(), entry.inst);
+  }
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<InstPtr> out;
+  out.reserve(keyed.size());
+  for (auto& [text, inst] : keyed) out.push_back(std::move(inst));
+  return out;
+}
+
 InstPtr ConflictSet::Claim(ConflictResolution strategy, Random* rng) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry* chosen = nullptr;
   if (strategy == ConflictResolution::kRandom) {
-    // No order to index: a uniform pick over the eligible candidates
-    // sorted by key text. (active_'s iteration order follows the order
-    // of the activations, which within one propagation follows the
-    // matcher's pointer-keyed containers.)
+    // No order to index: a uniform pick over the eligible candidates.
     DBPS_CHECK(rng != nullptr);
-    std::vector<std::pair<std::string, Entry*>> eligible;
-    for (auto& [key, entry] : active_) {
-      if (entry.claimed || InterferesLocked(*entry.inst)) continue;
-      eligible.emplace_back(key.ToString(), &entry);
-    }
+    const std::vector<InstPtr> eligible =
+        UnclaimedByKeyTextLocked(/*skip_interfering=*/true);
     if (eligible.empty()) return nullptr;
-    std::sort(eligible.begin(), eligible.end());
-    chosen = eligible[rng->Uniform(eligible.size())].second;
+    chosen = &active_.find(eligible[rng->Uniform(eligible.size())]->key())
+                  ->second;
   } else {
     if (!indexed_ || selectable_.key_comp().strategy != strategy) {
       IndexLocked(strategy);
@@ -171,26 +181,19 @@ std::vector<InstPtr> ConflictSet::Snapshot() const {
 std::vector<InstPtr> ConflictSet::SelectableInOrder(
     ConflictResolution strategy, Random* rng) const {
   std::lock_guard<std::mutex> lock(mu_);
+  if (strategy == ConflictResolution::kRandom) {
+    DBPS_CHECK(rng != nullptr);
+    std::vector<InstPtr> out =
+        UnclaimedByKeyTextLocked(/*skip_interfering=*/false);
+    rng->Shuffle(&out);
+    return out;
+  }
   std::vector<const Entry*> entries;
   entries.reserve(num_selectable_);
   for (const auto& [key, entry] : active_) {
     if (!entry.claimed) entries.push_back(&entry);
   }
-  if (strategy == ConflictResolution::kRandom) {
-    // Sorted by key text first, so the shuffle does not inherit
-    // active_'s iteration order.
-    DBPS_CHECK(rng != nullptr);
-    std::vector<std::pair<std::string, const Entry*>> keyed;
-    keyed.reserve(entries.size());
-    for (const Entry* entry : entries) {
-      keyed.emplace_back(entry->inst->key().ToString(), entry);
-    }
-    std::sort(keyed.begin(), keyed.end());
-    rng->Shuffle(&keyed);
-    for (size_t i = 0; i < keyed.size(); ++i) entries[i] = keyed[i].second;
-  } else {
-    std::sort(entries.begin(), entries.end(), DominanceOrder{strategy});
-  }
+  std::sort(entries.begin(), entries.end(), DominanceOrder{strategy});
   std::vector<InstPtr> out;
   out.reserve(entries.size());
   for (const Entry* entry : entries) out.push_back(entry->inst);

@@ -160,6 +160,11 @@ class ConflictSet {
   /// Would claiming `inst` read what an in-flight claim writes, or write
   /// what one reads? Requires mu_.
   bool InterferesLocked(const Instantiation& inst) const;
+  /// The unclaimed instantiations sorted by key text, without those that
+  /// interfere with a claim in flight if `skip_interfering`. kRandom
+  /// draws from this list, never from active_'s iteration order (which
+  /// follows the matcher's pointer-keyed containers). Requires mu_.
+  std::vector<InstPtr> UnclaimedByKeyTextLocked(bool skip_interfering) const;
 
   mutable std::mutex mu_;
   std::unordered_map<InstKey, Entry, InstKeyHash> active_;
